@@ -12,7 +12,6 @@ from .charring import (
     SymCharacter,
     lambda_of,
     two_row_partitions,
-    weight_of,
     weight_set,
 )
 from .gzeta import (
@@ -44,7 +43,6 @@ from .report import (
     TheoremARow,
     TheoremCClause,
     TheoremCRow,
-    sweep,
     theorem_37_report,
     theorem_a_report,
     theorem_c_report,
@@ -103,7 +101,6 @@ __all__ = [
     "stohr_pairs",
     "stohr_summand",
     "stohr_tilting_decomp",
-    "sweep",
     "tensor_power_decomp",
     "theorem_37_report",
     "theorem_a_report",
@@ -112,7 +109,6 @@ __all__ = [
     "tilting_multiplicity_lower_bound",
     "two_row_partitions",
     "weight_nonzero",
-    "weight_of",
     "weight_set",
     "weyl_twist_identity",
     "witt_bidegree",

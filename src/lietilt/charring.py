@@ -25,7 +25,6 @@ __all__ = [
     "SymCharacter",
     "lambda_of",
     "two_row_partitions",
-    "weight_of",
     "weight_set",
 ]
 
@@ -187,11 +186,6 @@ class Partition2:
         if int(PrimeChar(p)) == 2:
             return self.lambda2 == 0 or self.lambda1 > self.lambda2
         return True
-
-
-def weight_of(lam: Partition2) -> int:
-    """Row difference lambda1 - lambda2 of a two-row partition."""
-    return lam.weight
 
 
 def lambda_of(m: int, r: int) -> Partition2:

@@ -3,11 +3,10 @@
 Subcommands cover single decompositions (decompose-tensor, decompose-lie,
 stohr, gzeta), the classification sweeps (theorem-a, theorem-b, theorem-c,
 theorem-37), and a batch driver (report-all).  Output is JSON by default,
-with csv and pretty as alternatives; an on-disk cache of tilting character
-tables accelerates repeated runs.
+with csv and pretty as alternatives.
 
 Exit codes: 0 on success, 1 on a verification failure (a computed result
-contradicting a structural guarantee), 2 on a usage error.
+contradicting a structural guarantee), 2 on a usage, domain or I/O error.
 """
 
 from __future__ import annotations
@@ -16,16 +15,14 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
-from .cache import CharTableCache, flush_tilting, warm_tilting
 from .charring import ConsistencyError
-from .gzeta import gzeta_dim, gzeta_profile, theorem_b_predicate
+from .gzeta import gzeta_profile, theorem_b_predicate
 from .liechar import lie_tilting_decomp, stohr_pairs, stohr_tilting_decomp
 from .modarith import PrimeChar
-from .report import sweep, theorem_37_report, theorem_a_report, theorem_c_report
+from .report import theorem_37_report, theorem_a_report, theorem_c_report
 from .tiltchar import tensor_power_decomp
 
 __all__ = ["build_parser", "main"]
@@ -40,16 +37,6 @@ PROVENANCE = {
     "theorem-c": "stated exception lists with one-subtraction character consistency",
     "theorem-37": "odd-degree tilting with signed certificates for even degrees",
     "report-all": "combined decomposition and classification sweep",
-}
-
-_NEEDS_TILTING_TABLES = {
-    "decompose-tensor",
-    "decompose-lie",
-    "stohr",
-    "theorem-a",
-    "theorem-c",
-    "theorem-37",
-    "report-all",
 }
 
 
@@ -80,9 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     common.add_argument("--out", type=Path, default=None, help="write output to a file instead of stdout")
-    common.add_argument("--cache-dir", type=Path, default=None,
-                        help="cache directory (default: $LIETILT_CACHE_DIR or ~/.cache/lietilt)")
-    common.add_argument("--no-cache", action="store_true", help="disable the on-disk cache")
 
     def command(name: str, help_text: str, *, p: str | None = None, r: str = "single"):
         sp = sub.add_parser(name, parents=[common], help=help_text)
@@ -167,8 +151,12 @@ def payload_theorem_a(r: int) -> dict:
 
 
 def payload_theorem_b(r: int, p: int) -> dict:
-    return {"r": r, "p": p, "kind": "theorem-b", "holds": theorem_b_predicate(r, p),
-            "gzeta_dim": gzeta_dim(r, p) if r % p == 0 else None,
+    if r % p:  # no profile to build; the predicate still validates r
+        holds, dim = theorem_b_predicate(r, p), None
+    else:
+        prof = gzeta_profile(r, p)
+        holds, dim = prof.near_top_summand, prof.dim
+    return {"r": r, "p": p, "kind": "theorem-b", "holds": holds, "gzeta_dim": dim,
             "provenance": PROVENANCE["theorem-b"]}
 
 
@@ -209,39 +197,25 @@ def payload_report_all(r: int, p: int) -> dict:
     return out
 
 
+_PAYLOADS = {
+    "decompose-tensor": payload_tensor,
+    "decompose-lie": payload_lie,
+    "stohr": lambda r, p: payload_stohr(r),
+    "gzeta": payload_gzeta,
+    "theorem-a": lambda r, p: payload_theorem_a(r),
+    "theorem-b": payload_theorem_b,
+    "theorem-c": payload_theorem_c,
+    "theorem-37": lambda r, p: payload_theorem_37(r),
+    "report-all": payload_report_all,
+}
+
+
 def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    cmd = args.command
-    if cmd == "decompose-tensor":
-        degrees, _ = _resolve_degrees(args, parser)
-        return payload_tensor(degrees[0], args.p)
-    if cmd == "decompose-lie":
-        degrees, _ = _resolve_degrees(args, parser)
-        return payload_lie(degrees[0], args.p)
-    if cmd == "stohr":
-        degrees, _ = _resolve_degrees(args, parser)
-        return payload_stohr(degrees[0])
-    if cmd == "gzeta":
-        degrees, _ = _resolve_degrees(args, parser)
-        return payload_gzeta(degrees[0], args.p)
-    if cmd == "theorem-a":
-        degrees, single = _resolve_degrees(args, parser)
-        payloads = sweep(payload_theorem_a, degrees)
-        return payloads[0] if single else payloads
-    if cmd == "theorem-b":
-        degrees, single = _resolve_degrees(args, parser)
-        payloads = sweep(lambda r: payload_theorem_b(r, args.p), degrees)
-        return payloads[0] if single else payloads
-    if cmd == "theorem-c":
-        degrees, _ = _resolve_degrees(args, parser)
-        return payload_theorem_c(degrees[0], args.p)
-    if cmd == "theorem-37":
-        degrees, single = _resolve_degrees(args, parser)
-        payloads = sweep(payload_theorem_37, degrees)
-        return payloads[0] if single else payloads
-    if cmd == "report-all":
-        degrees, _ = _resolve_degrees(args, parser)
-        return sweep(lambda r: payload_report_all(r, args.p), degrees)
-    raise AssertionError(f"unhandled command {cmd!r}")
+    degrees, single = _resolve_degrees(args, parser)
+    payload = _PAYLOADS[args.command]
+    p = getattr(args, "p", 2)  # the characteristic-2 commands take no --p
+    payloads = [payload(r, p) for r in degrees]
+    return payloads[0] if single else payloads
 
 
 def _bool_str(value: bool) -> str:
@@ -362,17 +336,6 @@ def render(payload, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cache_dir(args: argparse.Namespace) -> Path | None:
-    if args.no_cache:
-        return None
-    if args.cache_dir is not None:
-        return args.cache_dir
-    env = os.environ.get("LIETILT_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "lietilt"
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -380,16 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    cache = None
-    if args.command in _NEEDS_TILTING_TABLES:
-        directory = _cache_dir(args)
-        if directory is not None:
-            cache = CharTableCache(directory)
-    cache_p = getattr(args, "p", 2)
-
     try:
-        if cache is not None:
-            warm_tilting(cache, cache_p)
         payload = _dispatch(args, parser)
         text = render(payload, args.format)
     except SystemExit as exc:
@@ -401,12 +355,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if cache is not None:
-        flush_tilting(cache, cache_p)
-    if args.out is not None:
-        args.out.write_text(text)
-    else:
+    if args.out is None:
         sys.stdout.write(text)
+        return 0
+    try:
+        args.out.write_text(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

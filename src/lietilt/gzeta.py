@@ -11,7 +11,6 @@ module, which in turn decides whether the near-top tilting summand occurs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .modarith import PrimeChar, binom_mod
 from .tiltchar import is_weyl_simple
@@ -43,12 +42,6 @@ def _require_divisible(r: int, p: PrimeChar) -> None:
         raise ValueError(f"degree must be a positive multiple of {int(p)}, got {r}")
 
 
-@lru_cache(maxsize=None)
-def _c_sequence(r: int, p: int) -> tuple[int, ...]:
-    sign_odd = p - 1  # -1 mod p
-    return tuple(binom_mod(r - 1, j, p) * (sign_odd if j % 2 else 1) % p for j in range(r))
-
-
 def c_sequence(r: int, p: int) -> tuple[int, ...]:
     """The sequence c_j = (-1)**j * C(r - 1, j) mod p for j = 0 .. r - 1.
 
@@ -57,7 +50,8 @@ def c_sequence(r: int, p: int) -> tuple[int, ...]:
     """
     p = PrimeChar(p)
     _require_divisible(r, p)
-    return _c_sequence(r, int(p))
+    sign_odd = p - 1  # -1 mod p
+    return tuple(binom_mod(r - 1, j, p) * (sign_odd if j % 2 else 1) % p for j in range(r))
 
 
 @dataclass(frozen=True)
@@ -82,6 +76,12 @@ class GZetaProfile:
     @property
     def is_p_power(self) -> bool:
         return is_p_power(self.r, self.p)
+
+    @property
+    def near_top_summand(self) -> bool:
+        """Whether the near-top submodule has full dimension r - 1, or r = p,
+        where the summand is known directly."""
+        return self.r == self.p or self.dim == self.r - 1
 
 
 def gzeta_profile(r: int, p: int) -> GZetaProfile:
@@ -139,7 +139,7 @@ def theorem_b_predicate(r: int, p: int) -> bool:
         raise ValueError(f"degree must be at least 2, got {r}")
     if r % p:
         return True
-    return r == int(p) or gzeta_dim(r, p) == r - 1
+    return gzeta_profile(r, p).near_top_summand
 
 
 def metabelian_summand(r: int, p: int) -> bool:

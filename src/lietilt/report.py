@@ -13,10 +13,8 @@ Three sweeps, one per classification result carried by the CLI:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, TypeVar
 
 from .charring import ConsistencyError, Partition2, SymCharacter, two_row_partitions
 from .gzeta import is_p_power, theorem_b_predicate
@@ -36,15 +34,10 @@ __all__ = [
     "TheoremARow",
     "TheoremCClause",
     "TheoremCRow",
-    "sweep",
     "theorem_37_report",
     "theorem_a_report",
     "theorem_c_report",
 ]
-
-T = TypeVar("T")
-U = TypeVar("U")
-
 
 class Evidence(str, Enum):
     """How a row of the characteristic-2 classification is certified."""
@@ -179,16 +172,3 @@ def theorem_37_report(r: int) -> LieDecompReport:
         raise ConsistencyError(f"odd degree {r} did not come back tilting")
     return rep
 
-
-def sweep(fn: Callable[[T], U], values: Iterable[T], max_workers: int = 4) -> list[U]:
-    """Apply fn across values on a small worker pool, results in input order.
-
-    Deterministic regardless of completion order; used by the CLI batch
-    command.  All the underlying computations only ever append to memo
-    tables, so sharing them across workers is safe.
-    """
-    values = list(values)
-    if len(values) <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=min(max_workers, len(values))) as pool:
-        return list(pool.map(fn, values))

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from .charring import ConsistencyError, SymCharacter, weight_set
@@ -26,13 +27,10 @@ __all__ = [
     "char_simple",
     "char_tilting",
     "char_weyl",
-    "clear_tilting_memo",
     "decompose",
     "is_weyl_simple",
     "natural_power_char",
-    "preload_tilting",
     "tensor_power_decomp",
-    "tilting_table",
     "weyl_twist_identity",
 ]
 
@@ -105,9 +103,7 @@ def is_weyl_simple(m: int, p: int) -> bool:
     return u == 1 or 2 <= u <= p - 1
 
 
-_tilting_memo: dict[tuple[int, int], SymCharacter] = {}
-
-
+@lru_cache(maxsize=None)
 def char_tilting(m: int, p: int) -> SymCharacter:
     """Character of the indecomposable tilting module of highest weight m.
 
@@ -120,47 +116,19 @@ def char_tilting(m: int, p: int) -> SymCharacter:
     * m = kp + i with k >= 2 and i <= p - 2: weight-dilated character at
       k - 1 times the character at p + i.
 
-    Results are memoized per (m, p); the memo table may be pre-seeded from a
-    disk cache and is safe to share across threads because entries are only
-    ever inserted, never changed.
+    Results are memoized per (m, p).
     """
     p = PrimeChar(p)
     if m < 0:
         raise ValueError(f"highest weight must be non-negative, got {m}")
-    key = (m, int(p))
-    hit = _tilting_memo.get(key)
-    if hit is not None:
-        return hit
     if m <= p - 1:
-        out = char_weyl(m)
-    elif m <= 2 * p - 2:
-        out = char_weyl(m) + char_weyl(2 * p - 2 - m)
-    else:
-        k, i = divmod(m, int(p))
-        if i == p - 1:
-            out = char_tilting(k, p).scale_weights(p) * char_weyl(p - 1)
-        else:
-            out = char_tilting(k - 1, p).scale_weights(p) * char_tilting(p + i, p)
-    _tilting_memo[key] = out
-    return out
-
-
-def tilting_table(p: int) -> dict[int, SymCharacter]:
-    """Snapshot of the memoized tilting characters for characteristic p."""
-    p = int(PrimeChar(p))
-    return {m: chi for (m, q), chi in _tilting_memo.items() if q == p}
-
-
-def preload_tilting(p: int, table: Mapping[int, SymCharacter]) -> None:
-    """Seed the memo table, e.g. from a disk cache; existing entries win."""
-    p = int(PrimeChar(p))
-    for m, chi in table.items():
-        _tilting_memo.setdefault((m, p), chi)
-
-
-def clear_tilting_memo() -> None:
-    """Drop all memoized tilting characters (mainly for tests)."""
-    _tilting_memo.clear()
+        return char_weyl(m)
+    if m <= 2 * p - 2:
+        return char_weyl(m) + char_weyl(2 * p - 2 - m)
+    k, i = divmod(m, int(p))
+    if i == p - 1:
+        return char_tilting(k, p).scale_weights(p) * char_weyl(p - 1)
+    return char_tilting(k - 1, p).scale_weights(p) * char_tilting(p + i, p)
 
 
 def basis_char(basis: Basis, m: int, p: int) -> SymCharacter:
@@ -178,14 +146,18 @@ def basis_char(basis: Basis, m: int, p: int) -> SymCharacter:
 class Decomposition:
     """Signed multiplicities of a degree-r character in a highest-weight basis.
 
-    Treat instances as immutable; entries map highest weights to nonzero
-    signed coefficients.
+    Entries map highest weights to nonzero signed coefficients.  They are
+    held in a read-only view, because memoized decompositions are shared
+    by every caller.
     """
 
     basis: Basis
-    entries: dict[int, int]
+    entries: Mapping[int, int]
     r: int
     p: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     def coefficient(self, m: int) -> int:
         return self.entries.get(m, 0)

@@ -11,7 +11,6 @@ from lietilt.charring import (
     SymCharacter,
     lambda_of,
     two_row_partitions,
-    weight_of,
     weight_set,
 )
 
@@ -183,7 +182,6 @@ def test_partition2_basic():
     lam = Partition2(5, 2)
     assert lam.degree == 7
     assert lam.weight == 3
-    assert weight_of(lam) == 3
     with pytest.raises(ValueError):
         Partition2(2, 5)
     with pytest.raises(ValueError):
@@ -204,7 +202,7 @@ def test_lambda_of_round_trip():
         for m in weights:
             lam = lambda_of(m, r)
             assert lam.degree == r
-            assert weight_of(lam) == m
+            assert lam.weight == m
 
 
 def test_lambda_of_known():

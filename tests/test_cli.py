@@ -2,11 +2,9 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
+import lietilt.gzeta
 from lietilt.charring import ConsistencyError
 from lietilt.cli import main
-from lietilt.tiltchar import clear_tilting_memo
 
 GOLDEN_TENSOR = (
     '{"r":3,"p":2,"kind":"tensor-power","basis":"tilting","entries":{"3":1,"1":2},'
@@ -20,14 +18,6 @@ GOLDEN_LIE = (
     '{"r":4,"p":5,"kind":"lie-power","basis":"tilting","entries":{"2":1},"verdict":"tilting",'
     '"provenance":"necklace weight counts, then greedy tilting elimination"}\n'
 )
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("LIETILT_CACHE_DIR", str(tmp_path / "cache"))
-    clear_tilting_memo()
-    yield tmp_path / "cache"
-    clear_tilting_memo()
 
 
 # -- golden outputs -----------------------------------------------------
@@ -118,6 +108,20 @@ def test_theorem_b_range(capsys):
     assert [x["gzeta_dim"] for x in payloads] == [1, None, 2]
 
 
+def test_theorem_b_range_builds_one_profile_per_even_degree(capsys, monkeypatch):
+    built = []
+    c_sequence = lietilt.gzeta.c_sequence
+
+    def counting_c_sequence(r, p):
+        built.append(r)
+        return c_sequence(r, p)
+
+    monkeypatch.setattr(lietilt.gzeta, "c_sequence", counting_c_sequence)
+    assert main(["theorem-b", "--r-min", "2", "--r-max", "12", "--p", "2"]) == 0
+    capsys.readouterr()
+    assert built == list(range(2, 13, 2))
+
+
 def test_theorem_c_payload(capsys):
     assert main(["theorem-c", "--r", "9", "--p", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -141,6 +145,12 @@ def test_report_all_range(capsys):
     assert payloads[3]["theorem_37_verdict"] == "tilting"
     assert payloads[3]["theorem_a_certified"] is True
     assert payloads[0]["theorem_37_verdict"] is None  # degree too small
+
+
+def test_range_payloads_ascend(capsys):
+    for command in ("report-all", "theorem-37"):
+        assert main([command, "--r-min", "7", "--r-max", "12"]) == 0
+        assert [x["r"] for x in json.loads(capsys.readouterr().out)] == list(range(7, 13))
 
 
 def test_report_all_csv_rejected(capsys):
@@ -169,12 +179,16 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
-def test_domain_errors_exit_two(capsys):
+def test_domain_errors_exit_two(tmp_path, capsys):
     assert main(["gzeta", "--r", "7", "--p", "2"]) == 2  # p does not divide r
     assert "error" in capsys.readouterr().err
     assert main(["theorem-a", "--r", "5"]) == 2  # degree too small
     assert main(["theorem-c", "--r", "15", "--p", "3"]) == 2
     capsys.readouterr()
+    missing = tmp_path / "missing" / "x.json"
+    assert main(["decompose-tensor", "--r", "3", "--p", "2", "--out", str(missing)]) == 2  # I/O error
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verification_failure_exits_one(capsys, monkeypatch):
@@ -185,53 +199,3 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     assert main(["theorem-37", "--r", "7"]) == 1
     assert "verification failure" in capsys.readouterr().err
 
-
-# -- cache wiring -------------------------------------------------------
-
-
-def test_cache_file_created_via_env(isolated_cache, capsys):
-    assert main(["decompose-tensor", "--r", "6", "--p", "2"]) == 0
-    capsys.readouterr()
-    path = isolated_cache / "tilting-p2.json"
-    assert path.is_file()
-    raw = json.loads(path.read_text())
-    assert raw["kind"] == "tilting" and raw["p"] == 2
-
-
-def test_cache_dir_flag_overrides_env(tmp_path, isolated_cache, capsys):
-    override = tmp_path / "override"
-    assert main(["decompose-tensor", "--r", "6", "--p", "2", "--cache-dir", str(override)]) == 0
-    capsys.readouterr()
-    assert (override / "tilting-p2.json").is_file()
-    assert not (isolated_cache / "tilting-p2.json").exists()
-
-
-def test_no_cache_flag(isolated_cache, capsys):
-    assert main(["decompose-tensor", "--r", "6", "--p", "2", "--no-cache"]) == 0
-    capsys.readouterr()
-    assert not isolated_cache.exists()
-
-
-def test_gzeta_does_not_touch_cache(isolated_cache, capsys):
-    assert main(["gzeta", "--r", "8", "--p", "2"]) == 0
-    capsys.readouterr()
-    assert not isolated_cache.exists()
-
-
-def test_corrupt_cache_recovers(isolated_cache, capsys):
-    assert main(["decompose-tensor", "--r", "6", "--p", "2"]) == 0
-    path = isolated_cache / "tilting-p2.json"
-    path.write_text("{broken")
-    clear_tilting_memo()
-    assert main(["decompose-tensor", "--r", "3", "--p", "2"]) == 0
-    out = capsys.readouterr().out.splitlines()[-1] + "\n"
-    assert out == GOLDEN_TENSOR
-    assert json.loads(path.read_text())["kind"] == "tilting"
-
-
-def test_cache_round_trip_same_output(isolated_cache, capsys):
-    assert main(["decompose-tensor", "--r", "12", "--p", "2"]) == 0
-    first = capsys.readouterr().out
-    clear_tilting_memo()
-    assert main(["decompose-tensor", "--r", "12", "--p", "2"]) == 0
-    assert capsys.readouterr().out == first

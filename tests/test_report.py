@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from lietilt.charring import Partition2
@@ -9,7 +7,6 @@ from lietilt.liechar import Verdict
 from lietilt.report import (
     Evidence,
     TheoremCClause,
-    sweep,
     theorem_37_report,
     theorem_a_report,
     theorem_c_report,
@@ -166,31 +163,3 @@ def test_theorem_37_report_sweep():
 def test_theorem_37_report_validates():
     with pytest.raises(ValueError):
         theorem_37_report(6)
-
-
-# -- parallel sweep helper ----------------------------------------------
-
-
-def test_sweep_preserves_input_order():
-    def jittered_square(x: int) -> int:
-        time.sleep(0.002 * (x % 3))
-        return x * x
-
-    values = list(range(17))
-    assert sweep(jittered_square, values) == [x * x for x in values]
-
-
-def test_sweep_single_and_empty():
-    assert sweep(lambda x: x + 1, []) == []
-    assert sweep(lambda x: x + 1, [41]) == [42]
-
-
-def test_sweep_on_report_functions():
-    results = sweep(theorem_37_report, [7, 8, 9, 10, 11])
-    assert [rep.verdict for rep in results] == [
-        Verdict.TILTING,
-        Verdict.NOT_TILTING_CERTIFIED,
-        Verdict.TILTING,
-        Verdict.INCONCLUSIVE,
-        Verdict.TILTING,
-    ]

@@ -13,13 +13,10 @@ from lietilt.tiltchar import (
     char_simple,
     char_tilting,
     char_weyl,
-    clear_tilting_memo,
     decompose,
     is_weyl_simple,
     natural_power_char,
-    preload_tilting,
     tensor_power_decomp,
-    tilting_table,
     weyl_twist_identity,
 )
 
@@ -235,6 +232,13 @@ def test_tensor_power_decomp_known():
     assert tensor_power_decomp(4, 2).entries == {4: 1, 2: 2}
 
 
+def test_tensor_power_decomp_entries_read_only():
+    # The decomposition is memoized, so a caller's write must not reach the next caller.
+    with pytest.raises(TypeError):
+        tensor_power_decomp(3, 2).entries[3] = 99
+    assert tensor_power_decomp(3, 2).entries == {3: 1, 1: 2}
+
+
 def test_tensor_power_decomp_support_pattern():
     for r in range(1, 19):
         ent2 = tensor_power_decomp(r, 2).entries
@@ -301,18 +305,3 @@ def test_weyl_twist_identity_validates():
         weyl_twist_identity(2, 1, 2)  # i must be at most p - 2
     with pytest.raises(ValueError):
         weyl_twist_identity(2, -1, 3)
-
-
-# -- memo table plumbing ------------------------------------------------
-
-
-def test_tilting_table_snapshot_and_preload():
-    char_tilting(12, 2)
-    table = tilting_table(2)
-    assert table[12] == char_tilting(12, 2)
-    clear_tilting_memo()
-    assert 12 not in tilting_table(2)
-    preload_tilting(2, table)
-    assert tilting_table(2)[12] == table[12]
-    assert char_tilting(12, 2) == table[12]
-    clear_tilting_memo()
