@@ -134,6 +134,15 @@ class SymCharacter:
 
     __rmul__ = __mul__
 
+    def __pow__(self, k: int) -> "SymCharacter":
+        """The k-fold product, multiplied left to right from the trivial character."""
+        if k < 0:
+            raise ValueError(f"exponent must be non-negative, got {k}")
+        out = SymCharacter({0: 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
     def scale_weights(self, k: int) -> "SymCharacter":
         """Pull every weight w to k*w, keeping its multiplicity."""
         if k < 1:

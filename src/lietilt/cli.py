@@ -177,7 +177,9 @@ def payload_theorem_37(r: int) -> dict:
 
 
 def payload_report_all(r: int, p: int) -> dict:
-    lie = lie_tilting_decomp(r, p)
+    classified = p == 2 and r > 6
+    # theorem_37_report is the same decomposition with the odd-degree check on top.
+    lie = theorem_37_report(r) if classified else lie_tilting_decomp(r, p)
     out = {
         "r": r,
         "p": p,
@@ -191,9 +193,9 @@ def payload_report_all(r: int, p: int) -> dict:
     if r % p == 0:
         prof = gzeta_profile(r, p)
         out["gzeta"] = {"dim": prof.dim, "is_p_power": prof.is_p_power}
-    if p == 2 and r > 6:
+    if classified:
         out["theorem_a_certified"] = all(row.certified for row in theorem_a_report(r))
-        out["theorem_37_verdict"] = theorem_37_report(r).verdict.value
+        out["theorem_37_verdict"] = lie.verdict.value
     return out
 
 

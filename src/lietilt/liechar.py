@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .charring import ConsistencyError, Partition2, SymCharacter, weight_set
 from .modarith import PrimeChar, divisors, mobius, witt_bidegree, witt_weight_count
@@ -34,7 +33,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def char_lie_power(r: int) -> SymCharacter:
     """Weight multiplicities of the degree-r Lie component on two letters.
 
@@ -45,13 +43,6 @@ def char_lie_power(r: int) -> SymCharacter:
     if r < 1:
         raise ValueError(f"degree must be positive, got {r}")
     return SymCharacter({r - 2 * i: witt_weight_count(r, i) for i in range(r // 2 + 1)})
-
-
-def _char_pow(chi: SymCharacter, k: int) -> SymCharacter:
-    out = char_weyl(0)
-    for _ in range(k):
-        out = out * chi
-    return out
 
 
 def lie_power_char(chi: SymCharacter, r: int) -> SymCharacter:
@@ -67,7 +58,7 @@ def lie_power_char(chi: SymCharacter, r: int) -> SymCharacter:
     for d in divisors(r):
         mu = mobius(d)
         if mu:
-            acc = acc + _char_pow(chi.scale_weights(d), r // d).scale(mu)
+            acc = acc + (chi.scale_weights(d) ** (r // d)).scale(mu)
     vals: dict[int, int] = {}
     for w in acc.support:
         q, rem = divmod(acc.multiplicity(w), r)
@@ -99,7 +90,7 @@ def stohr_summand(s: int, t: int) -> StohrSummand:
     and t factors of the two-dimensional Weyl character."""
     if s < 1 or t < 1:
         raise ValueError(f"need s, t >= 1, got ({s}, {t})")
-    chi = _char_pow(char_weyl(2), s) * _char_pow(char_weyl(1), t)
+    chi = char_weyl(2) ** s * char_weyl(1) ** t
     return StohrSummand(s, t, witt_bidegree(s, t), chi)
 
 

@@ -26,7 +26,7 @@ from .liechar import (
     stohr_summand,
     stohr_tilting_decomp,
 )
-from .modarith import PrimeChar
+from .modarith import PrimeChar, witt_weight_count
 from .tiltchar import char_tilting
 
 __all__ = [
@@ -69,7 +69,7 @@ def theorem_a_report(r: int) -> list[TheoremARow]:
     if r <= 6:
         raise ValueError(f"classification needs degree > 6, got {r}")
     two_power = is_p_power(r, 2)
-    top_zero = char_lie_power(r).multiplicity(r) == 0
+    top_zero = witt_weight_count(r, 0) == 0
     if r % 2:
         witness = stohr_summand((r - 3) // 2, 1)
     else:
@@ -111,8 +111,9 @@ class TheoremCRow:
 def _char_consistent(chi: SymCharacter, m: int, p: int) -> bool:
     """Necessary condition for a tilting summand of highest weight m: one
     subtraction of its character must leave non-negative multiplicities."""
-    diff = chi - char_tilting(m, p)
-    return all(diff.multiplicity(w) >= 0 for w in diff.support)
+    tilt = char_tilting(m, p)
+    # Off that support chi keeps its Lyndon-word counts, which are never negative.
+    return all(chi.multiplicity(w) >= tilt.multiplicity(w) for w in tilt.support)
 
 
 def _theorem_c_clause(r: int, p: PrimeChar) -> tuple[TheoremCClause, int]:
@@ -121,6 +122,10 @@ def _theorem_c_clause(r: int, p: PrimeChar) -> tuple[TheoremCClause, int]:
             raise ValueError(f"degree must exceed {int(p)}, got {r}")
         return (TheoremCClause.II if p == 3 else TheoremCClause.I), r
     if r % 2 == 0 and is_p_power(r // 2, p):
+        if p == 3 and r == 6:
+            # With m = 1 the exception (pm + 2, pm - 2) is the near-top row,
+            # which occurs because 6 is not a power of 3.
+            raise ValueError("degree must exceed 6 for p=3, got 6")
         return (TheoremCClause.IV if p == 3 else TheoremCClause.III), r // 2
     raise ValueError(f"degree must be p**m or 2*p**m for p={int(p)}, got {r}")
 

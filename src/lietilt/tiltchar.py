@@ -63,16 +63,6 @@ def _digits(m: int, p: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _simple(m: int, p: int) -> SymCharacter:
-    out = char_weyl(0)
-    q = 1
-    for d in _digits(m, p):
-        if d:
-            out = out * char_weyl(d).scale_weights(q)
-        q *= p
-    return out
-
-
 def char_simple(m: int, p: int) -> SymCharacter:
     """Character of the simple module of highest weight m.
 
@@ -82,7 +72,13 @@ def char_simple(m: int, p: int) -> SymCharacter:
     p = PrimeChar(p)
     if m < 0:
         raise ValueError(f"highest weight must be non-negative, got {m}")
-    return _simple(m, int(p))
+    out = char_weyl(0)
+    q = 1
+    for d in _digits(m, p):
+        if d:
+            out = out * char_weyl(d).scale_weights(q)
+        q *= p
+    return out
 
 
 def is_weyl_simple(m: int, p: int) -> bool:
@@ -116,7 +112,8 @@ def char_tilting(m: int, p: int) -> SymCharacter:
     * m = kp + i with k >= 2 and i <= p - 2: weight-dilated character at
       k - 1 times the character at p + i.
 
-    Results are memoized per (m, p).
+    Results are memoized per (m, p), as are the Weyl and simple characters:
+    these basis tables are what every product and decomposition reuses.
     """
     p = PrimeChar(p)
     if m < 0:
@@ -147,8 +144,8 @@ class Decomposition:
     """Signed multiplicities of a degree-r character in a highest-weight basis.
 
     Entries map highest weights to nonzero signed coefficients.  They are
-    held in a read-only view, because memoized decompositions are shared
-    by every caller.
+    held in a read-only view, so a caller that keeps a decomposition cannot
+    change what another holder of it reads.
     """
 
     basis: Basis
@@ -214,32 +211,24 @@ def decompose(chi: SymCharacter, basis: Basis, r: int, p: int) -> Decomposition:
     return Decomposition(basis, entries, r, int(p))
 
 
-@lru_cache(maxsize=None)
 def natural_power_char(r: int) -> SymCharacter:
     """Character of the r-fold tensor power of the natural two-dimensional
     character: binomial weight multiplicities with total 2**r."""
     if r < 1:
         raise ValueError(f"tensor degree must be positive, got {r}")
-    out = char_weyl(1)
-    for _ in range(r - 1):
-        out = out * char_weyl(1)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _tensor_power_decomp(r: int, p: int) -> Decomposition:
-    dec = decompose(natural_power_char(r), Basis.TILTING, r, p)
-    # The tensor power is an actual tilting module, so the multiplicities are
-    # genuine and every positive weight of matching parity must occur.
-    if not dec.is_nonnegative or any(dec.coefficient(m) <= 0 for m in weight_set(r)):
-        raise ConsistencyError(f"tensor power decomposition violated positivity at r={r}, p={p}")
-    return dec
+    return char_weyl(1) ** r
 
 
 def tensor_power_decomp(r: int, p: int) -> Decomposition:
     """Tilting multiplicities of the r-fold tensor power of the natural
     character; strictly positive on every positive weight of r's parity."""
-    return _tensor_power_decomp(r, int(PrimeChar(p)))
+    p = PrimeChar(p)
+    dec = decompose(natural_power_char(r), Basis.TILTING, r, p)
+    # The tensor power is an actual tilting module, so the multiplicities are
+    # genuine and every positive weight of matching parity must occur.
+    if not dec.is_nonnegative or any(dec.coefficient(m) <= 0 for m in weight_set(r)):
+        raise ConsistencyError(f"tensor power decomposition violated positivity at r={r}, p={int(p)}")
+    return dec
 
 
 def weyl_twist_identity(n: int, i: int, p: int) -> bool:

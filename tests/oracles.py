@@ -3,7 +3,8 @@
 Everything here deliberately takes a different route from the package:
 Lyndon words are enumerated one by one instead of counted by Moebius sums,
 the Moebius function comes from a linear sieve instead of trial division,
-and subset sums are tried exhaustively.
+primes come from the sieve of Eratosthenes instead of Miller-Rabin, and
+subset sums are tried exhaustively.
 """
 
 from __future__ import annotations
@@ -69,6 +70,18 @@ def sieve_mobius(limit: int) -> list[int]:
                 break
             mu[i * p] = -mu[i]
     return mu
+
+
+def sieve_primes(limit: int) -> list[int]:
+    """Primes below limit by the sieve of Eratosthenes."""
+    composite = [False] * max(limit, 2)
+    primes = []
+    for n in range(2, limit):
+        if not composite[n]:
+            primes.append(n)
+            for m in range(n * n, limit, n):
+                composite[m] = True
+    return primes
 
 
 def divisors_of(n: int) -> list[int]:

@@ -109,6 +109,15 @@ def test_mul_unit():
     assert unit * chi == chi
 
 
+def test_pow():
+    chi = SymCharacter({3: 2, 1: 1})
+    assert chi ** 0 == SymCharacter({0: 1})
+    assert chi ** 1 == chi
+    assert chi ** 3 == chi * chi * chi
+    with pytest.raises(ValueError):
+        chi ** -1
+
+
 def test_scale_weights_and_frobenius():
     chi = SymCharacter({2: 1, 0: 2})
     assert chi.scale_weights(3) == SymCharacter({6: 1, 0: 2})

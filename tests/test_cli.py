@@ -5,6 +5,7 @@ import json
 import lietilt.gzeta
 from lietilt.charring import ConsistencyError
 from lietilt.cli import main
+from lietilt.liechar import lie_tilting_decomp
 
 GOLDEN_TENSOR = (
     '{"r":3,"p":2,"kind":"tensor-power","basis":"tilting","entries":{"3":1,"1":2},'
@@ -153,6 +154,20 @@ def test_range_payloads_ascend(capsys):
         assert [x["r"] for x in json.loads(capsys.readouterr().out)] == list(range(7, 13))
 
 
+def test_report_all_decomposes_each_lie_power_once(capsys, monkeypatch):
+    decomposed = []
+
+    def counting_lie_tilting_decomp(r, p):
+        decomposed.append(r)
+        return lie_tilting_decomp(r, p)
+
+    monkeypatch.setattr("lietilt.cli.lie_tilting_decomp", counting_lie_tilting_decomp)
+    monkeypatch.setattr("lietilt.report.lie_tilting_decomp", counting_lie_tilting_decomp)
+    assert main(["report-all", "--r-min", "7", "--r-max", "12"]) == 0
+    capsys.readouterr()
+    assert decomposed == list(range(7, 13))
+
+
 def test_report_all_csv_rejected(capsys):
     assert main(["report-all", "--r-min", "4", "--r-max", "5", "--format", "csv"]) == 2
 
@@ -184,6 +199,8 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     assert main(["theorem-a", "--r", "5"]) == 2  # degree too small
     assert main(["theorem-c", "--r", "15", "--p", "3"]) == 2
+    assert main(["theorem-c", "--r", "6", "--p", "3"]) == 2  # near-top row is no exception at m = 1
+    assert main(["decompose-tensor", "--r", "3", "--p", str(2**89 - 1)]) == 2  # prime beyond the exact test
     capsys.readouterr()
     missing = tmp_path / "missing" / "x.json"
     assert main(["decompose-tensor", "--r", "3", "--p", "2", "--out", str(missing)]) == 2  # I/O error
@@ -199,3 +216,8 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     assert main(["theorem-37", "--r", "7"]) == 1
     assert "verification failure" in capsys.readouterr().err
 
+
+def test_package_exports_each_name_once():
+    names = lietilt.__all__
+    assert len(names) == len(set(names))  # a name in two modules would be shadowed by the star imports
+    assert all(hasattr(lietilt, name) for name in names)

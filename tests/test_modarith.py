@@ -5,18 +5,36 @@ import math
 import pytest
 
 from lietilt.modarith import PrimeChar, binom_mod, divisors, mobius, witt_bidegree, witt_weight_count
-from oracles import lyndon_count, lyndon_second_letter_counts, lyndon_words, sieve_mobius
+from oracles import lyndon_count, lyndon_second_letter_counts, lyndon_words, sieve_mobius, sieve_primes
 
 
 def test_primechar_accepts_primes():
-    for p in (2, 3, 5, 7, 11, 97, 101):
+    for p in (2, 3, 5, 7, 11, 97, 101, 10**18 + 3):
         assert int(PrimeChar(p)) == p
 
 
-@pytest.mark.parametrize("bad", [-3, 0, 1, 4, 6, 9, 15, 100])
+# 561 is a Carmichael number, 3215031751 a strong pseudoprime to bases 2, 3, 5
+# and 7, and 318665857834031151167461 one to each of the first 12 primes.
+@pytest.mark.parametrize("bad", [-3, 0, 1, 4, 6, 9, 15, 100, 561, 3215031751, 318665857834031151167461])
 def test_primechar_rejects_nonprimes(bad):
     with pytest.raises(ValueError):
         PrimeChar(bad)
+
+
+def test_primechar_matches_sieve():
+    primes = set(sieve_primes(10**4))
+    for n in range(10**4):
+        try:
+            PrimeChar(n)
+        except ValueError:
+            assert n not in primes
+        else:
+            assert n in primes
+
+
+def test_primechar_refuses_primes_beyond_exact_range():
+    with pytest.raises(ValueError, match="below"):
+        PrimeChar(2**89 - 1)  # a Mersenne prime
 
 
 def test_primechar_idempotent():

@@ -142,6 +142,8 @@ def test_theorem_c_report_validates():
         theorem_c_report(3, 3)  # degree must exceed p
     with pytest.raises(ValueError):
         theorem_c_report(12, 3)
+    with pytest.raises(ValueError):
+        theorem_c_report(6, 3)  # (pm + 2, pm - 2) would be the near-top row
 
 
 # -- parity dichotomy ---------------------------------------------------
