@@ -58,20 +58,34 @@ def c_sequence(r: int, p: int) -> tuple[int, ...]:
 class GZetaProfile:
     """Per-weight nonzeroness profile of the near-top submodule.
 
-    nonzero[v - 1] says whether the weight space indexed by v (that is,
-    weight r - 2v) is nonzero, for v = 1 .. r; dim counts the True flags.
+    Two facts about the coefficient sequence decide every weight space:
+    whether all c_j are equal, and whether their sum is nonzero mod p.
+
+    A v-element subset sum can vanish for all subsets only if all
+    coefficients agree (then every sum is v * c_0, and c_0 = 1) or if v = r
+    (a single subset, the full sum, which is the expansion of (1 - 1)**(r - 1)
+    and always vanishes exactly when r >= 2).  Swapping two unequal
+    coefficients changes some subset sum, so in every other situation some
+    sum is nonzero.
     """
 
     r: int
     p: int
-    coeffs: tuple[int, ...]
-    nonzero: tuple[bool, ...]
-    dim: int
+    all_equal: bool
+    total_nonzero: bool
 
     def weight_space_nonzero(self, v: int) -> bool:
+        """Whether the weight space indexed by v (weight r - 2v) is nonzero."""
         if not 1 <= v <= self.r:
             raise ValueError(f"need 1 <= v <= {self.r}, got {v}")
-        return self.nonzero[v - 1]
+        if v == self.r:
+            return self.total_nonzero
+        return not self.all_equal or v % self.p != 0
+
+    @property
+    def dim(self) -> int:
+        """Number of nonzero weight spaces for v = 1 .. r."""
+        return (self.r - self.r // self.p if self.all_equal else self.r - 1) + self.total_nonzero
 
     @property
     def is_p_power(self) -> bool:
@@ -85,36 +99,16 @@ class GZetaProfile:
 
 
 def gzeta_profile(r: int, p: int) -> GZetaProfile:
-    """Analyse every weight space of the near-top submodule at once.
-
-    A v-element subset sum of the coefficient sequence can vanish for all
-    subsets only if all coefficients agree (then every sum is v * c_0, and
-    c_0 = 1) or if v = r (a single subset, the full sum, which is the
-    expansion of (1 - 1)**(r - 1) and always vanishes exactly when r >= 2).
-    Swapping two unequal coefficients changes some subset sum, so in every
-    other situation some sum is nonzero.
-    """
+    """Analyse every weight space of the near-top submodule at once."""
     p = PrimeChar(p)
     cs = c_sequence(r, p)
-    all_equal = len(set(cs)) == 1
-    total_nonzero = sum(cs) % p != 0
-    flags = []
-    for v in range(1, r + 1):
-        if v == r:
-            flags.append(total_nonzero)
-        elif all_equal:
-            flags.append(v % p != 0)  # every sum is v * c_0 with c_0 = 1
-        else:
-            flags.append(True)
-    return GZetaProfile(r, int(p), cs, tuple(flags), sum(flags))
+    return GZetaProfile(r, int(p), len(set(cs)) == 1, sum(cs) % p != 0)
 
 
 def weight_nonzero(r: int, p: int, v: int) -> bool:
     """Whether some v-element subset of the coefficient sequence has sum
     nonzero mod p; requires p | r and 1 <= v <= r."""
-    if not 1 <= v <= r:
-        raise ValueError(f"need 1 <= v <= {r}, got {v}")
-    return gzeta_profile(r, p).nonzero[v - 1]
+    return gzeta_profile(r, p).weight_space_nonzero(v)
 
 
 def gzeta_dim(r: int, p: int) -> int:

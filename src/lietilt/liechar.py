@@ -111,15 +111,13 @@ def stohr_pairs(r: int) -> list[StohrSummand]:
     return out
 
 
-def stohr_tilting_decomp(x: StohrSummand, p: int = 2) -> Decomposition:
+def stohr_tilting_decomp(x: StohrSummand) -> Decomposition:
     """Tilting multiplicities of one bidegree summand in characteristic 2.
 
     The coefficients must be non-negative with positive support exactly the
     positive weights of parity 2s + t up to 2s + t; any other pattern is an
     internal inconsistency.
     """
-    if int(PrimeChar(p)) != 2:
-        raise ValueError("the bidegree splitting is specific to characteristic 2")
     dec = decompose(x.character, Basis.TILTING, x.degree, 2)
     expected = set(weight_set(2 * x.s + x.t))
     if not dec.is_nonnegative or set(dec.entries) != expected:

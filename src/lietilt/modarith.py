@@ -127,30 +127,22 @@ def mobius(n: int) -> int:
 def witt_bidegree(s: int, t: int) -> int:
     """Number of Lyndon words with s first letters and t second letters.
 
-    Moebius-weighted multinomial sum over the common divisors of s and t
-    (with gcd(k, 0) = k); the division by the length s + t is exact.  The
-    count is positive whenever s, t >= 1, and for the single-letter words
+    Equal to witt_weight_count(s + t, t): gcd(s, t) = gcd(s + t, t), and each
+    multinomial (n/d)! / ((s/d)! (t/d)!) of the Moebius sum, n = s + t, is the
+    binomial C(n/d, t/d).  The count is positive whenever s, t >= 1, and for the single-letter words
     (1, 0) and (0, 1); it vanishes at (k, 0) and (0, k) for k >= 2.
     """
     if s < 0 or t < 0 or s + t < 1:
         raise ValueError("need s, t >= 0 with s + t >= 1")
-    n = s + t
-    acc = 0
-    for d in divisors(math.gcd(s, t)):
-        mu = mobius(d)
-        if mu:
-            acc += mu * (math.factorial(n // d) // (math.factorial(s // d) * math.factorial(t // d)))
-    q, rem = divmod(acc, n)
-    assert rem == 0, "Witt sum must be divisible by the word length"
-    return q
+    return witt_weight_count(s + t, t)
 
 
 def witt_weight_count(r: int, i: int) -> int:
     """Number of Lyndon words of length r over two letters with i second letters.
 
-    Same Moebius sum as witt_bidegree with binomials in place of multinomials;
-    the value at i and at r - i agree, so these counts form a symmetric
-    weight profile.
+    Moebius-weighted binomial sum over the common divisors of r and i (with
+    gcd(k, 0) = k); the division by the length r is exact.  The value at i
+    and at r - i agree, so these counts form a symmetric weight profile.
     """
     if r < 1:
         raise ValueError(f"length must be positive, got {r}")

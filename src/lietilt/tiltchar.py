@@ -51,17 +51,6 @@ def char_weyl(m: int) -> SymCharacter:
     return SymCharacter({w: 1 for w in range(m, -1, -2)})
 
 
-def _digits(m: int, p: int) -> list[int]:
-    """Base-p digits of m, least significant first; [0] for m = 0."""
-    if m == 0:
-        return [0]
-    out = []
-    while m:
-        m, d = divmod(m, p)
-        out.append(d)
-    return out
-
-
 @lru_cache(maxsize=None)
 def char_simple(m: int, p: int) -> SymCharacter:
     """Character of the simple module of highest weight m.
@@ -74,7 +63,8 @@ def char_simple(m: int, p: int) -> SymCharacter:
         raise ValueError(f"highest weight must be non-negative, got {m}")
     out = char_weyl(0)
     q = 1
-    for d in _digits(m, p):
+    while m:
+        m, d = divmod(m, p)
         if d:
             out = out * char_weyl(d).scale_weights(q)
         q *= p

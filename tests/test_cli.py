@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 import lietilt.gzeta
 from lietilt.charring import ConsistencyError
 from lietilt.cli import main
@@ -191,7 +193,30 @@ def test_usage_errors_exit_two(capsys):
     assert main(["gzeta", "--r", "8", "--p", "4"]) == 2  # not a prime
     assert main(["theorem-b", "--p", "2", "--r-min", "5", "--r-max", "3"]) == 2
     assert main(["theorem-b", "--p", "2", "--r", "3", "--r-min", "2", "--r-max", "4"]) == 2
+    assert main(["theorem-b", "--r", "4097", "--p", "2"]) == 2
+    assert main(["theorem-b", "--p", "3", "--r-min", "2", "--r-max", "4097"]) == 2
+    assert "must not exceed" in capsys.readouterr().err
+    assert main(["theorem-b", "--r", "4096", "--p", "2"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(("name", "takes_p", "single", "ranged"), [
+    ("decompose-tensor", True, True, False),
+    ("decompose-lie", True, True, False),
+    ("stohr", False, True, False),
+    ("gzeta", True, True, False),
+    ("theorem-a", False, True, True),
+    ("theorem-b", True, True, True),
+    ("theorem-c", True, True, False),
+    ("theorem-37", False, True, True),
+    ("report-all", True, False, True),
+])
+def test_subcommand_help_lists_its_options(name, takes_p, single, ranged, capsys):
+    assert main([name, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert ("--p P" in out) == takes_p
+    assert ("--r R" in out) == single
+    assert ("--r-min R_MIN" in out) == ("--r-max R_MAX" in out) == ranged
 
 
 def test_domain_errors_exit_two(tmp_path, capsys):

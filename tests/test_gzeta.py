@@ -98,8 +98,8 @@ def test_gzeta_profile_invariants():
             prof = gzeta_profile(r, p)
             assert isinstance(prof, GZetaProfile)
             assert prof.r == r and prof.p == p
-            assert len(prof.coeffs) == len(prof.nonzero) == r
-            assert prof.dim == sum(prof.nonzero) == gzeta_dim(r, p)
+            assert len(c_sequence(r, p)) == r
+            assert prof.dim == sum(prof.weight_space_nonzero(v) for v in range(1, r + 1)) == gzeta_dim(r, p)
             assert prof.dim <= r - 1
             assert prof.weight_space_nonzero(1)
             # v = r never contributes: the full sum is divisible by p.

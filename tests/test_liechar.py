@@ -161,11 +161,6 @@ def test_stohr_tilting_decomp_pattern():
                 assert lam.lambda2 >= x.t
 
 
-def test_stohr_tilting_decomp_rejects_odd_characteristic():
-    with pytest.raises(ValueError):
-        stohr_tilting_decomp(stohr_summand(1, 1), p=3)
-
-
 def test_stohr_dimension_identity():
     # Summed over all bidegree pairs (including the boundary pairs with
     # s = 0 or t = 0), multiplicities weight dimensions 3^s 2^t to give
