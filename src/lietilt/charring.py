@@ -15,7 +15,8 @@ characters from different degrees were combined by mistake.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .modarith import PrimeChar
 
@@ -38,24 +39,15 @@ class SymCharacter:
 
     __slots__ = ("_m",)
 
-    def __init__(self, multiplicities: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = multiplicities.items() if isinstance(multiplicities, Mapping) else multiplicities
-        pos: dict[int, int] = {}
-        neg: dict[int, int] = {}
-        for w, c in items:
-            side = pos if w >= 0 else neg
-            w = abs(w)
-            side[w] = side.get(w, 0) + c
-        for w, c in neg.items():
-            if w in pos:
-                if pos[w] != c:
-                    raise ValueError(f"asymmetric multiplicities at weights +-{w}")
-            else:
-                pos[w] = c
-        pos = {w: c for w, c in pos.items() if c}
-        if len({w & 1 for w in pos}) > 1:
+    def __init__(self, multiplicities: Mapping[int, int] = MappingProxyType({})):
+        half: dict[int, int] = {}
+        for w, c in multiplicities.items():
+            if half.setdefault(abs(w), c) != c:
+                raise ValueError(f"asymmetric multiplicities at weights +-{abs(w)}")
+        half = {w: c for w, c in half.items() if c}
+        if len({w & 1 for w in half}) > 1:
             raise ValueError("weights of mixed parity in one character")
-        self._m = pos
+        self._m = half
 
     # -- queries ---------------------------------------------------------
 
@@ -97,12 +89,6 @@ class SymCharacter:
     def __add__(self, other: "SymCharacter") -> "SymCharacter":
         if not isinstance(other, SymCharacter):
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.parity != other.parity:
-            raise ValueError("cannot add characters of different weight parity")
         merged = dict(self._m)
         for w, c in other._m.items():
             merged[w] = merged.get(w, 0) + c
@@ -115,8 +101,6 @@ class SymCharacter:
 
     def scale(self, c: int) -> "SymCharacter":
         """Multiply every multiplicity by the integer c."""
-        if c == 0:
-            return SymCharacter()
         return SymCharacter({w: c * v for w, v in self._m.items()})
 
     def __mul__(self, other):

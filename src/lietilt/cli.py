@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -352,12 +353,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.out is None:
-        sys.stdout.write(text)
-        return 0
     try:
-        args.out.write_text(text)
+        if args.out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            args.out.write_text(text)
     except OSError as exc:
+        if args.out is None:
+            # The interpreter flushes stdout again at exit; aim that flush at the null device.
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

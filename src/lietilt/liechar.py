@@ -103,12 +103,7 @@ def stohr_pairs(r: int) -> list[StohrSummand]:
     """
     if r <= 3:
         raise ValueError(f"the bidegree splitting needs degree >= 4, got {r}")
-    out = []
-    for t in range(1, (r - 2) // 3 + 1):
-        rem = r - 3 * t
-        if rem >= 2 and rem % 2 == 0:
-            out.append(stohr_summand(rem // 2, t))
-    return out
+    return [stohr_summand((r - 3 * t) // 2, t) for t in range(2 - r % 2, (r - 2) // 3 + 1, 2)]
 
 
 def stohr_tilting_decomp(x: StohrSummand) -> Decomposition:

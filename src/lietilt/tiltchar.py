@@ -75,32 +75,26 @@ def is_weyl_simple(m: int, p: int) -> bool:
     """Whether the Weyl, simple, and tilting characters at m all coincide.
 
     True exactly for m = 0 and for m = a * p**k - 1 with 2 <= a <= p; in
-    digit terms, m + 1 with the p-part stripped must be 1 or lie in
-    [2, p - 1].
+    digit terms, m + 1 with the p-part stripped must be below p.
     """
     p = PrimeChar(p)
     if m < 0:
         raise ValueError(f"highest weight must be non-negative, got {m}")
-    if m == 0:
-        return True
     u = m + 1
     while u % p == 0:
         u //= p
-    return u == 1 or 2 <= u <= p - 1
+    return u < p
 
 
 @lru_cache(maxsize=None)
 def char_tilting(m: int, p: int) -> SymCharacter:
     """Character of the indecomposable tilting module of highest weight m.
 
-    Recursive in the base-p shape of m:
-
-    * m <= p - 1: the Weyl character itself;
-    * p <= m <= 2p - 2: sum of the Weyl characters at m and at 2p - 2 - m;
-    * m = kp + (p - 1): weight-dilated character at k times the Weyl
-      character at p - 1;
-    * m = kp + i with k >= 2 and i <= p - 2: weight-dilated character at
-      k - 1 times the character at p + i.
+    For m <= p - 1 this is the Weyl character.  Otherwise write
+    m - (p - 1) = a + p*b with 0 <= a <= p - 1; Donkin's tensor product
+    theorem (Math. Z. 212, 1993) gives T(m) = T(b)^[F] (x) T(p - 1 + a), where
+    T(p - 1 + a) is the sum of the Weyl characters at p - 1 + a and
+    p - 1 - a, or the Weyl character at p - 1 alone when a = 0.
 
     Results are memoized per (m, p), as are the Weyl and simple characters:
     these basis tables are what every product and decomposition reuses.
@@ -110,12 +104,9 @@ def char_tilting(m: int, p: int) -> SymCharacter:
         raise ValueError(f"highest weight must be non-negative, got {m}")
     if m <= p - 1:
         return char_weyl(m)
-    if m <= 2 * p - 2:
-        return char_weyl(m) + char_weyl(2 * p - 2 - m)
-    k, i = divmod(m, int(p))
-    if i == p - 1:
-        return char_tilting(k, p).scale_weights(p) * char_weyl(p - 1)
-    return char_tilting(k - 1, p).scale_weights(p) * char_tilting(p + i, p)
+    b, a = divmod(m - (p - 1), int(p))
+    second = char_weyl(p - 1 + a) + char_weyl(p - 1 - a) if a else char_weyl(p - 1)
+    return char_tilting(b, p).scale_weights(p) * second
 
 
 def basis_char(basis: Basis, m: int, p: int) -> SymCharacter:
@@ -187,17 +178,14 @@ def decompose(chi: SymCharacter, basis: Basis, r: int, p: int) -> Decomposition:
             raise ValueError("character support exceeds the degree")
     residual = {w: chi.multiplicity(w) for w in chi.support}
     entries: dict[int, int] = {}
-    while residual:
-        w = max(residual)
-        c = residual[w]
+    for w in range(r, -1, -2):
+        c = residual.get(w)
+        if not c:
+            continue
         entries[w] = c
         member = basis_char(basis, w, p)
         for u in member.support:
-            v = residual.get(u, 0) - c * member.multiplicity(u)
-            if v:
-                residual[u] = v
-            else:
-                residual.pop(u, None)
+            residual[u] = residual.get(u, 0) - c * member.multiplicity(u)
     return Decomposition(basis, entries, r, int(p))
 
 

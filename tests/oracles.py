@@ -3,8 +3,9 @@
 Everything here deliberately takes a different route from the package:
 Lyndon words are enumerated one by one instead of counted by Moebius sums,
 the Moebius function comes from a linear sieve instead of trial division,
-primes come from the sieve of Eratosthenes instead of Miller-Rabin, and
-subset sums are tried exhaustively.
+primes come from the sieve of Eratosthenes instead of Miller-Rabin,
+subset sums are tried exhaustively, and tilting characters are read off a
+list of Weyl factors instead of built from products of characters.
 """
 
 from __future__ import annotations
@@ -82,6 +83,19 @@ def sieve_primes(limit: int) -> list[int]:
             for m in range(n * n, limit, n):
                 composite[m] = True
     return primes
+
+
+def tilting_weyl_factors(m: int, p: int) -> list[int]:
+    """Highest weights of the Weyl factors of the tilting module T(m) in
+    characteristic p, from Donkin's tensor product theorem: below p, T(m) is
+    the Weyl module; otherwise, with m - (p - 1) = a + p*b and 0 <= a < p,
+    each factor n of T(b) gives p*n + p - 1 + a and p*n + p - 1 - a (one
+    factor when a = 0)."""
+    if m <= p - 1:
+        return [m]
+    b, a = divmod(m - (p - 1), p)
+    shifts = (a, -a) if a else (0,)
+    return [p * n + p - 1 + s for n in tilting_weyl_factors(b, p) for s in shifts]
 
 
 def divisors_of(n: int) -> list[int]:

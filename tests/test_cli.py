@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +244,36 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     monkeypatch.setattr("lietilt.cli.theorem_37_report", boom)
     assert main(["theorem-37", "--r", "7"]) == 1
     assert "verification failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("argv", "stdout", "code"), [
+    pytest.param(["decompose-tensor", "--p", "2"], os.devnull, 2, id="usage"),
+    pytest.param(["gzeta", "--r", "7", "--p", "2"], os.devnull, 2, id="domain"),
+    pytest.param(["decompose-tensor", "--r", "3", "--p", "2", "--out", "{tmp}/missing/x.json"], os.devnull, 2,
+                 id="out-missing-dir"),
+    pytest.param(["decompose-tensor", "--r", "3", "--p", "2"], "/dev/full", 2, id="stdout-full"),
+    pytest.param(["theorem-37", "--r", "7"], None, 1, id="consistency-in-process"),
+])
+def test_exit_code_table(argv, stdout, code, tmp_path, capsys, monkeypatch):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if stdout is None:  # in process, with a forced verification failure
+        def boom(r):
+            raise ConsistencyError("forced")
+
+        monkeypatch.setattr("lietilt.cli.theorem_37_report", boom)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+    else:
+        src = str(Path(lietilt.__file__).parents[1])
+        with open(stdout, "w") as sink:
+            proc = subprocess.run([sys.executable, "-m", "lietilt", *argv], stdout=sink, stderr=subprocess.PIPE,
+                                  text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == code
+        err = proc.stderr
+    assert "Traceback" not in err
+    # argparse puts its usage text, indented past the first line, ahead of the error line.
+    lines = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+    assert len(lines) == 1, err
 
 
 def test_package_exports_each_name_once():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,8 @@ from lietilt.tiltchar import (
     tensor_power_decomp,
     weyl_twist_identity,
 )
+
+from oracles import tilting_weyl_factors
 
 
 # -- Weyl characters ----------------------------------------------------
@@ -139,6 +142,16 @@ def test_char_tilting_first_band_sum():
     for p in (2, 3, 5, 7):
         for m in range(p, 2 * p - 1):
             assert char_tilting(m, p) == char_weyl(m) + char_weyl(2 * p - 2 - m)
+
+
+def test_char_tilting_matches_weyl_factor_oracle():
+    # The factors are distinct: T(m) has a multiplicity-free Weyl filtration.
+    for p in (2, 3, 5, 7, 11):
+        for m in range(400):
+            factors = tilting_weyl_factors(m, p)
+            assert len(set(factors)) == len(factors), (m, p)
+            weights = Counter(w for k in factors for w in range(k, -1, -2))
+            assert char_tilting(m, p) == SymCharacter(weights), (m, p)
 
 
 def test_char_tilting_validates():
