@@ -23,7 +23,7 @@ from .charring import ConsistencyError
 from .gzeta import gzeta_profile, theorem_b_predicate
 from .liechar import lie_tilting_decomp, stohr_pairs, stohr_tilting_decomp
 from .modarith import PrimeChar
-from .report import theorem_37_report, theorem_a_report, theorem_c_report
+from .report import _theorem_a_rows, theorem_37_report, theorem_a_report, theorem_c_report
 from .tiltchar import tensor_power_decomp
 
 __all__ = ["build_parser", "main"]
@@ -160,11 +160,14 @@ def payload_report_all(r: int, p: int) -> dict:
         "theorem_a_certified": None,
         "theorem_37_verdict": None,
     }
+    prof = None
     if r % p == 0:
         prof = gzeta_profile(r, p)
         out["gzeta"] = {"dim": prof.dim, "is_p_power": prof.is_p_power}
     if classified:
-        out["theorem_a_certified"] = all(row.certified for row in theorem_a_report(r))
+        # The theorem-a near-top row takes its verdict from this degree's profile, as theorem-b does.
+        near_top = theorem_b_predicate(r, p) if prof is None else prof.near_top_summand
+        out["theorem_a_certified"] = all(row.certified for row in _theorem_a_rows(r, near_top))
         out["theorem_37_verdict"] = lie.verdict.value
     return out
 
@@ -187,8 +190,21 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed --help write exits 2."""
+
+    def print_help(self, file=None) -> None:
+        # argparse's own printer drops OSError, so --help to a full disk would exit 0.
+        file = file or sys.stdout
+        try:
+            file.write(self.format_help())
+            file.flush()
+        except OSError as exc:
+            self.exit(_write_failed(exc, file is sys.stdout))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lietilt",
         description="Exact tilting decompositions of tensor and Lie powers for SL(2) in prime characteristic.",
     )
@@ -360,13 +376,18 @@ def main(argv: list[str] | None = None) -> int:
         else:
             args.out.write_text(text)
     except OSError as exc:
-        if args.out is None:
-            # The interpreter flushes stdout again at exit; aim that flush at the null device.
-            with open(os.devnull, "w") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _write_failed(exc, args.out is None)
     return 0
+
+
+def _write_failed(exc: OSError, to_stdout: bool) -> int:
+    """Report a failed output write in one error line; the exit code is 2."""
+    if to_stdout:
+        # The interpreter flushes stdout again at exit; aim that flush at the null device.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

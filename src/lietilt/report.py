@@ -27,7 +27,7 @@ from .liechar import (
     stohr_tilting_decomp,
 )
 from .modarith import PrimeChar, witt_weight_count
-from .tiltchar import char_tilting
+from .tiltchar import tilting_multiplicities
 
 __all__ = [
     "Evidence",
@@ -68,6 +68,12 @@ def theorem_a_report(r: int) -> list[TheoremARow]:
     """
     if r <= 6:
         raise ValueError(f"classification needs degree > 6, got {r}")
+    return _theorem_a_rows(r, theorem_b_predicate(r, 2))
+
+
+def _theorem_a_rows(r: int, near_top: bool) -> list[TheoremARow]:
+    """The rows of theorem_a_report, given theorem_b_predicate(r, 2): a
+    caller that already holds the degree's profile passes its verdict."""
     two_power = is_p_power(r, 2)
     top_zero = witt_weight_count(r, 0) == 0
     if r % 2:
@@ -83,7 +89,7 @@ def theorem_a_report(r: int) -> list[TheoremARow]:
             rows.append(TheoremARow(lam, False, Evidence.ZERO_WEIGHT_SPACE, top_zero))
         elif lam.lambda2 == 1:
             expected = not two_power
-            certified = theorem_b_predicate(r, 2) == expected
+            certified = near_top == expected
             rows.append(TheoremARow(lam, expected, Evidence.THEOREM_B, certified))
         else:
             certified = witness_dec.coefficient(lam.weight) > 0
@@ -110,10 +116,12 @@ class TheoremCRow:
 
 def _char_consistent(chi: SymCharacter, m: int, p: int) -> bool:
     """Necessary condition for a tilting summand of highest weight m: one
-    subtraction of its character must leave non-negative multiplicities."""
-    tilt = char_tilting(m, p)
+    subtraction of its character must leave non-negative multiplicities.
+
+    The multiplicities of T(m) are read off its Weyl factors; its character
+    is never built."""
     # Off that support chi keeps its Lyndon-word counts, which are never negative.
-    return all(chi.multiplicity(w) >= tilt.multiplicity(w) for w in tilt.support)
+    return all(chi.multiplicity(w) >= k for w, k in tilting_multiplicities(m, p))
 
 
 def _theorem_c_clause(r: int, p: PrimeChar) -> tuple[TheoremCClause, int]:

@@ -7,6 +7,12 @@ decomposes uniquely in each family by peeling coefficients from the top
 weight downward.  Coefficients of virtual characters may be negative; a
 negative coefficient in a decomposition that should describe an actual
 module is a certificate that no such module decomposition exists.
+
+Tilting characters live in Weyl coordinates: T(m) has a multiplicity-free
+filtration by Weyl modules, and tilting_weyl_factors lists their highest
+weights: typically tens of them, against the m/2 or so weights of T(m).  The
+Weyl and tilting decompositions eliminate over those lists and multiply no
+characters; only the simple basis is eliminated weight by weight.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .charring import ConsistencyError, SymCharacter, weight_set
 from .modarith import PrimeChar
@@ -31,6 +37,8 @@ __all__ = [
     "is_weyl_simple",
     "natural_power_char",
     "tensor_power_decomp",
+    "tilting_multiplicities",
+    "tilting_weyl_factors",
     "weyl_twist_identity",
 ]
 
@@ -87,26 +95,47 @@ def is_weyl_simple(m: int, p: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def char_tilting(m: int, p: int) -> SymCharacter:
-    """Character of the indecomposable tilting module of highest weight m.
+def tilting_weyl_factors(m: int, p: int) -> tuple[int, ...]:
+    """Highest weights of the Weyl factors of the tilting module T(m),
+    descending and distinct: T(m) has a multiplicity-free Weyl filtration.
 
-    For m <= p - 1 this is the Weyl character.  Otherwise write
+    For m <= p - 1, T(m) is the Weyl module.  Otherwise write
     m - (p - 1) = a + p*b with 0 <= a <= p - 1; Donkin's tensor product
-    theorem (Math. Z. 212, 1993) gives T(m) = T(b)^[F] (x) T(p - 1 + a), where
-    T(p - 1 + a) is the sum of the Weyl characters at p - 1 + a and
-    p - 1 - a, or the Weyl character at p - 1 alone when a = 0.
+    theorem (Math. Z. 212, 1993) gives T(m) = T(b)^[F] (x) T(p - 1 + a), and
+    each factor n of T(b) contributes p*n + p - 1 + a and p*n + p - 1 - a
+    (one factor, p*n + p - 1, when a = 0).
 
-    Results are memoized per (m, p), as are the Weyl and simple characters:
-    these basis tables are what every product and decomposition reuses.
+    Memoized per (m, p) as a tuple, so no caller can change the table.
     """
     p = PrimeChar(p)
     if m < 0:
         raise ValueError(f"highest weight must be non-negative, got {m}")
     if m <= p - 1:
-        return char_weyl(m)
+        return (m,)
     b, a = divmod(m - (p - 1), int(p))
-    second = char_weyl(p - 1 + a) + char_weyl(p - 1 - a) if a else char_weyl(p - 1)
-    return char_tilting(b, p).scale_weights(p) * second
+    shifts = (a, -a) if a else (0,)
+    return tuple(p * n + p - 1 + s for n in tilting_weyl_factors(b, p) for s in shifts)
+
+
+def tilting_multiplicities(m: int, p: int) -> Iterator[tuple[int, int]]:
+    """(weight, multiplicity) over the non-negative weights of T(m), descending.
+
+    The multiplicity at w is the number of Weyl factors at or above w: it is
+    k from the k-th factor down to just above the next one.
+    """
+    factors = tilting_weyl_factors(m, p)
+    bands = enumerate(zip(factors, factors[1:] + (m % 2 - 2,)), 1)
+    return ((w, k) for k, (top, below) in bands for w in range(top, below, -2))
+
+
+def char_tilting(m: int, p: int) -> SymCharacter:
+    """Character of the indecomposable tilting module of highest weight m:
+    the sum of the Weyl characters at its tilting_weyl_factors.
+
+    Built afresh on each call, with no products; decompose reads the factor
+    lists and never builds this character.
+    """
+    return SymCharacter(dict(tilting_multiplicities(m, p)))
 
 
 def basis_char(basis: Basis, m: int, p: int) -> SymCharacter:
@@ -161,12 +190,31 @@ class Decomposition:
         return sum(c * basis_char(self.basis, m, self.p).dim for m, c in self.entries.items())
 
 
+def _member_row(basis: Basis, m: int, p: PrimeChar) -> Iterable[tuple[int, int]]:
+    """The basis member at m as (coordinate, coefficient) pairs: Weyl factors
+    for the Weyl and tilting bases, weights for the simple basis."""
+    if basis is Basis.DELTA:
+        return ((m, 1),)
+    if basis is Basis.TILTING:
+        return ((k, 1) for k in tilting_weyl_factors(m, p))
+    if basis is Basis.SIMPLE:
+        member = char_simple(m, p)
+        return ((u, member.multiplicity(u)) for u in member.support)
+    raise ValueError(f"unknown basis {basis!r}")
+
+
 def decompose(chi: SymCharacter, basis: Basis, r: int, p: int) -> Decomposition:
     """Coefficients of chi in the given basis, by greedy top-down elimination.
 
     Exact for any basis that is monic at the top with support bounded by the
     highest weight; coefficients come out signed.  The character must have
     the parity of r and support inside [-r, r].
+
+    For the Weyl and tilting bases one differencing pass puts chi in Weyl
+    coordinates: the Weyl character at w has multiplicity one at w, w - 2,
+    ..., so its coefficient is mult(w) - mult(w + 2).  Each elimination step
+    then subtracts along the Weyl factors of one tilting module, and no
+    character is multiplied.  The simple basis is eliminated weight by weight.
     """
     p = PrimeChar(p)
     if r < 1:
@@ -176,16 +224,18 @@ def decompose(chi: SymCharacter, basis: Basis, r: int, p: int) -> Decomposition:
             raise ValueError("character parity does not match the degree")
         if chi.max_weight > r:
             raise ValueError("character support exceeds the degree")
-    residual = {w: chi.multiplicity(w) for w in chi.support}
+    if basis is Basis.SIMPLE:
+        residual = {w: chi.multiplicity(w) for w in chi.support}
+    else:
+        residual = {w: chi.multiplicity(w) - chi.multiplicity(w + 2) for w in range(r, -1, -2)}
     entries: dict[int, int] = {}
     for w in range(r, -1, -2):
         c = residual.get(w)
         if not c:
             continue
         entries[w] = c
-        member = basis_char(basis, w, p)
-        for u in member.support:
-            residual[u] = residual.get(u, 0) - c * member.multiplicity(u)
+        for u, k in _member_row(basis, w, p):
+            residual[u] = residual.get(u, 0) - c * k
     return Decomposition(basis, entries, r, int(p))
 
 

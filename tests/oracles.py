@@ -4,15 +4,20 @@ Everything here deliberately takes a different route from the package:
 Lyndon words are enumerated one by one instead of counted by Moebius sums,
 the Moebius function comes from a linear sieve instead of trial division,
 primes come from the sieve of Eratosthenes instead of Miller-Rabin,
-subset sums are tried exhaustively, and tilting characters are read off a
-list of Weyl factors instead of built from products of characters.
+subset sums are tried exhaustively, tilting characters are built from
+products of characters instead of read off lists of Weyl factors, and
+decompositions eliminate weight by weight instead of in Weyl coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Callable, Iterator, Sequence
+
+from lietilt.charring import SymCharacter
+from lietilt.tiltchar import char_weyl
 
 
 def lyndon_words(k: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -85,17 +90,34 @@ def sieve_primes(limit: int) -> list[int]:
     return primes
 
 
-def tilting_weyl_factors(m: int, p: int) -> list[int]:
-    """Highest weights of the Weyl factors of the tilting module T(m) in
-    characteristic p, from Donkin's tensor product theorem: below p, T(m) is
-    the Weyl module; otherwise, with m - (p - 1) = a + p*b and 0 <= a < p,
-    each factor n of T(b) gives p*n + p - 1 + a and p*n + p - 1 - a (one
-    factor when a = 0)."""
+@lru_cache(maxsize=None)
+def char_tilting_by_products(m: int, p: int) -> SymCharacter:
+    """Character of the tilting module T(m) in characteristic p by Donkin's
+    tensor product theorem as a product of characters: below p, T(m) is the
+    Weyl character; otherwise, with m - (p - 1) = a + p*b and 0 <= a < p,
+    T(m) = T(b)^[F] * (Weyl(p - 1 + a) + Weyl(p - 1 - a)), the second factor
+    being Weyl(p - 1) alone when a = 0."""
     if m <= p - 1:
-        return [m]
+        return char_weyl(m)
     b, a = divmod(m - (p - 1), p)
-    shifts = (a, -a) if a else (0,)
-    return [p * n + p - 1 + s for n in tilting_weyl_factors(b, p) for s in shifts]
+    second = char_weyl(p - 1 + a) + char_weyl(p - 1 - a) if a else char_weyl(p - 1)
+    return char_tilting_by_products(b, p).scale_weights(p) * second
+
+
+def decompose_by_weight(chi: SymCharacter, member: Callable[[int], SymCharacter], r: int) -> dict[int, int]:
+    """Signed coefficients of chi in the basis whose character at highest
+    weight w is member(w), by subtracting whole characters from the top
+    weight r down."""
+    residual = {w: chi.multiplicity(w) for w in chi.support}
+    entries = {}
+    for w in range(r, -1, -2):
+        c = residual.get(w)
+        if c:
+            entries[w] = c
+            basis_char = member(w)
+            for u in basis_char.support:
+                residual[u] = residual.get(u, 0) - c * basis_char.multiplicity(u)
+    return entries
 
 
 def divisors_of(n: int) -> list[int]:

@@ -129,6 +129,20 @@ def test_theorem_b_range_builds_one_profile_per_even_degree(capsys, monkeypatch)
     assert built == list(range(2, 13, 2))
 
 
+def test_report_all_builds_one_profile_per_even_degree(capsys, monkeypatch):
+    built = []
+    c_sequence = lietilt.gzeta.c_sequence
+
+    def counting_c_sequence(r, p):
+        built.append(r)
+        return c_sequence(r, p)
+
+    monkeypatch.setattr(lietilt.gzeta, "c_sequence", counting_c_sequence)
+    assert main(["report-all", "--r-min", "7", "--r-max", "12"]) == 0
+    capsys.readouterr()
+    assert built == [8, 10, 12]
+
+
 def test_theorem_c_payload(capsys):
     assert main(["theorem-c", "--r", "9", "--p", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -252,6 +266,8 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     pytest.param(["decompose-tensor", "--r", "3", "--p", "2", "--out", "{tmp}/missing/x.json"], os.devnull, 2,
                  id="out-missing-dir"),
     pytest.param(["decompose-tensor", "--r", "3", "--p", "2"], "/dev/full", 2, id="stdout-full"),
+    pytest.param(["--help"], "/dev/full", 2, id="help-stdout-full"),
+    pytest.param(["theorem-b", "--help"], "/dev/full", 2, id="subcommand-help-stdout-full"),
     pytest.param(["theorem-37", "--r", "7"], None, 1, id="consistency-in-process"),
 ])
 def test_exit_code_table(argv, stdout, code, tmp_path, capsys, monkeypatch):
@@ -274,6 +290,19 @@ def test_exit_code_table(argv, stdout, code, tmp_path, capsys, monkeypatch):
     # argparse puts its usage text, indented past the first line, ahead of the error line.
     lines = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
     assert len(lines) == 1, err
+
+
+def test_memo_policy():
+    # Only the basis tables and the primality test are memoized; everything
+    # else is computed afresh, so no caller can see another caller's result.
+    memoized = set()
+    for module in (lietilt.charring, lietilt.cli, lietilt.gzeta, lietilt.liechar, lietilt.modarith,
+                   lietilt.report, lietilt.tiltchar):
+        scopes = [vars(module)] + [vars(obj) for obj in vars(module).values() if isinstance(obj, type)]
+        for scope in scopes:
+            memoized |= {name for name, obj in scope.items()
+                         if hasattr(obj, "cache_info") and obj.__module__ == module.__name__}
+    assert memoized == {"char_weyl", "char_simple", "tilting_weyl_factors", "_is_prime"}
 
 
 def test_package_exports_each_name_once():

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lietilt.charring import Partition2
-from lietilt.liechar import Verdict
+from lietilt.charring import Partition2, SymCharacter
+from lietilt.liechar import Verdict, char_lie_power
+from lietilt.tiltchar import char_weyl
 from lietilt.report import (
     Evidence,
     TheoremCClause,
+    _char_consistent,
     theorem_37_report,
     theorem_a_report,
     theorem_c_report,
 )
+
+from oracles import char_tilting_by_products
 
 
 # -- characteristic-2 inclusion table -----------------------------------
@@ -131,6 +137,37 @@ def test_theorem_c_report_exception_shapes():
         rows = theorem_c_report(r, p)
         assert {row.partition for row in rows if not row.claimed} == exceptions
         assert all(row.clause is clauses[(r, p)] for row in rows)
+
+
+def _consistent_by_products(chi, m, p):
+    tilt = char_tilting_by_products(m, p)
+    return all(chi.multiplicity(w) >= tilt.multiplicity(w) for w in tilt.support)
+
+
+# Every degree r <= 400 of the form p**m or 2 * p**m that theorem_c_report accepts.
+THEOREM_C_DEGREES = [(r, p) for p in (3, 5, 7) for k in range(1, 6) for r in (p**k, 2 * p**k)
+                     if p < r <= 400 and (r, p) != (6, 3)]
+
+
+@pytest.mark.parametrize(("r", "p"), THEOREM_C_DEGREES)
+def test_theorem_c_char_consistent_matches_product_oracle(r, p):
+    chi = char_lie_power(r)
+    for row in theorem_c_report(r, p):
+        assert row.char_consistent == _consistent_by_products(chi, row.partition.weight, p)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_char_consistent_matches_product_oracle_on_sums_of_weyl_characters(data):
+    # Lie powers fail the check only at the top row, so mixed characters exercise both answers.
+    p = data.draw(st.sampled_from((3, 5, 7)))
+    r = data.draw(st.integers(1, 400))
+    m = data.draw(st.sampled_from(range(r % 2, r + 1, 2)))
+    tops = data.draw(st.lists(st.sampled_from(range(r % 2, r + 1, 2)), max_size=6))
+    chi = SymCharacter()
+    for k in tops:
+        chi = chi + char_weyl(k)
+    assert _char_consistent(chi, m, p) == _consistent_by_products(chi, m, p)
 
 
 def test_theorem_c_report_validates():

@@ -5,8 +5,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lietilt.charring import ConsistencyError, SymCharacter, weight_set
+from lietilt.liechar import char_lie_power, lie_tilting_decomp
 from lietilt.tiltchar import (
     Basis,
     Decomposition,
@@ -18,10 +21,11 @@ from lietilt.tiltchar import (
     is_weyl_simple,
     natural_power_char,
     tensor_power_decomp,
+    tilting_weyl_factors,
     weyl_twist_identity,
 )
 
-from oracles import tilting_weyl_factors
+from oracles import char_tilting_by_products, decompose_by_weight
 
 
 # -- Weyl characters ----------------------------------------------------
@@ -145,13 +149,25 @@ def test_char_tilting_first_band_sum():
 
 
 def test_char_tilting_matches_weyl_factor_oracle():
-    # The factors are distinct: T(m) has a multiplicity-free Weyl filtration.
+    # The factors descend strictly: T(m) has a multiplicity-free Weyl filtration.
     for p in (2, 3, 5, 7, 11):
         for m in range(400):
             factors = tilting_weyl_factors(m, p)
-            assert len(set(factors)) == len(factors), (m, p)
+            assert factors[0] == m and list(factors) == sorted(set(factors), reverse=True), (m, p)
             weights = Counter(w for k in factors for w in range(k, -1, -2))
             assert char_tilting(m, p) == SymCharacter(weights), (m, p)
+
+
+def test_tilting_weyl_factors_table_is_immutable():
+    factors = tilting_weyl_factors(40, 3)
+    assert isinstance(factors, tuple)
+    with pytest.raises(TypeError):
+        factors[0] = 0
+    assert tilting_weyl_factors(40, 3) == (40, 36, 34, 30, 22, 18, 16, 12)
+    with pytest.raises(ValueError):
+        tilting_weyl_factors(-1, 3)
+    with pytest.raises(ValueError):
+        tilting_weyl_factors(4, 6)
 
 
 def test_char_tilting_validates():
@@ -225,6 +241,58 @@ def test_decomposition_helpers():
     assert dec.support == (2, 0)
     assert not dec.is_nonnegative
     assert dec.dimension == 4 - 1  # dim T(2) - dim T(0) at p = 2
+
+
+def test_weyl_and_tilting_decompose_multiply_nothing(monkeypatch):
+    calls = []
+    mul = SymCharacter.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    chi, lie = natural_power_char(301), char_lie_power(300)
+    monkeypatch.setattr(SymCharacter, "__mul__", counting_mul)
+    monkeypatch.setattr(SymCharacter, "__rmul__", counting_mul)
+    for basis in (Basis.TILTING, Basis.DELTA):
+        for p in (2, 3, 5, 7):
+            decompose(chi, basis, 301, p)
+            decompose(lie, basis, 300, p)
+    assert calls == []
+
+
+# -- Weyl coordinates against the product oracle (property-based) -------
+
+PRIMES = st.sampled_from((2, 3, 5, 7))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 400), PRIMES)
+def test_char_tilting_matches_product_oracle(m, p):
+    assert char_tilting(m, p) == char_tilting_by_products(m, p)
+
+
+def _oracle_member(basis, p):
+    return char_weyl if basis is Basis.DELTA else lambda w: char_tilting_by_products(w, p)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 400), PRIMES, st.sampled_from((Basis.DELTA, Basis.TILTING)))
+def test_tensor_decompose_matches_weight_elimination(r, p, basis):
+    chi = natural_power_char(r)
+    assert decompose(chi, basis, r, p).entries == decompose_by_weight(chi, _oracle_member(basis, p), r)
+    if basis is Basis.TILTING:
+        assert tensor_power_decomp(r, p).entries == decompose_by_weight(chi, _oracle_member(basis, p), r)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 400), PRIMES, st.sampled_from((Basis.DELTA, Basis.TILTING)))
+def test_lie_decompose_matches_weight_elimination(r, p, basis):
+    chi = char_lie_power(r)
+    expected = decompose_by_weight(chi, _oracle_member(basis, p), r)
+    assert decompose(chi, basis, r, p).entries == expected
+    if basis is Basis.TILTING:
+        assert lie_tilting_decomp(r, p).decomposition.entries == expected
 
 
 # -- tensor powers ------------------------------------------------------
