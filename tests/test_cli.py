@@ -115,7 +115,9 @@ def test_theorem_b_range(capsys):
     assert [x["gzeta_dim"] for x in payloads] == [1, None, 2]
 
 
-def test_theorem_b_range_builds_one_profile_per_even_degree(capsys, monkeypatch):
+@pytest.fixture
+def profiles_built(monkeypatch):
+    """The degrees whose coefficient sequence is built, in order."""
     built = []
     c_sequence = lietilt.gzeta.c_sequence
 
@@ -124,23 +126,19 @@ def test_theorem_b_range_builds_one_profile_per_even_degree(capsys, monkeypatch)
         return c_sequence(r, p)
 
     monkeypatch.setattr(lietilt.gzeta, "c_sequence", counting_c_sequence)
+    return built
+
+
+def test_theorem_b_range_builds_one_profile_per_even_degree(capsys, profiles_built):
     assert main(["theorem-b", "--r-min", "2", "--r-max", "12", "--p", "2"]) == 0
     capsys.readouterr()
-    assert built == list(range(2, 13, 2))
+    assert profiles_built == list(range(2, 13, 2))
 
 
-def test_report_all_builds_one_profile_per_even_degree(capsys, monkeypatch):
-    built = []
-    c_sequence = lietilt.gzeta.c_sequence
-
-    def counting_c_sequence(r, p):
-        built.append(r)
-        return c_sequence(r, p)
-
-    monkeypatch.setattr(lietilt.gzeta, "c_sequence", counting_c_sequence)
+def test_report_all_builds_one_profile_per_even_degree(capsys, profiles_built):
     assert main(["report-all", "--r-min", "7", "--r-max", "12"]) == 0
     capsys.readouterr()
-    assert built == [8, 10, 12]
+    assert profiles_built == [8, 10, 12]
 
 
 def test_theorem_c_payload(capsys):

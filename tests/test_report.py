@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from lietilt.charring import Partition2, SymCharacter
 from lietilt.liechar import Verdict, char_lie_power
-from lietilt.tiltchar import char_weyl
 from lietilt.report import (
     Evidence,
     TheoremCClause,
@@ -15,6 +14,7 @@ from lietilt.report import (
     theorem_a_report,
     theorem_c_report,
 )
+from lietilt.tiltchar import char_weyl
 
 from oracles import char_tilting_by_products
 
