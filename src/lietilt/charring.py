@@ -103,9 +103,7 @@ class SymCharacter:
         """Multiply every multiplicity by the integer c."""
         return SymCharacter({w: c * v for w, v in self._m.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
+    def __mul__(self, other: "SymCharacter") -> "SymCharacter":
         if not isinstance(other, SymCharacter):
             return NotImplemented
         out: dict[int, int] = {}
@@ -115,8 +113,6 @@ class SymCharacter:
                 if w >= 0:
                     out[w] = out.get(w, 0) + a * b
         return SymCharacter(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "SymCharacter":
         """The k-fold product, multiplied left to right from the trivial character."""
@@ -132,10 +128,6 @@ class SymCharacter:
         if k < 1:
             raise ValueError(f"weight scale must be positive, got {k}")
         return SymCharacter({k * w: c for w, c in self._m.items()})
-
-    def frobenius(self, p: int) -> "SymCharacter":
-        """Weight dilation by the characteristic: the character of a twist."""
-        return self.scale_weights(int(PrimeChar(p)))
 
     # -- plumbing --------------------------------------------------------
 

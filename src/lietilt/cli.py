@@ -220,11 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--p", type=_prime, required=True)
         elif p_mode == "default2":
             sp.add_argument("--p", type=_prime, default=2)
+        # A command with one degree mode requires its options; "both" is left to _resolve_degrees.
         if degrees in ("single", "both"):
-            sp.add_argument("--r", type=_positive)
+            sp.add_argument("--r", type=_positive, required=degrees == "single")
         if degrees in ("range", "both"):
-            sp.add_argument("--r-min", type=_positive)
-            sp.add_argument("--r-max", type=_positive)
+            sp.add_argument("--r-min", type=_positive, required=degrees == "range")
+            sp.add_argument("--r-max", type=_positive, required=degrees == "range")
     return parser
 
 

@@ -8,11 +8,12 @@ weight downward.  Coefficients of virtual characters may be negative; a
 negative coefficient in a decomposition that should describe an actual
 module is a certificate that no such module decomposition exists.
 
-Tilting characters live in Weyl coordinates: T(m) has a multiplicity-free
-filtration by Weyl modules, and tilting_weyl_factors lists their highest
-weights: typically tens of them, against the m/2 or so weights of T(m).  The
-Weyl and tilting decompositions eliminate over those lists and multiply no
-characters; only the simple basis is eliminated weight by weight.
+Decompositions run in Weyl coordinates, where the Weyl character at w is a
+single coordinate.  T(m) has a multiplicity-free filtration by Weyl modules,
+and tilting_weyl_factors lists their highest weights: typically tens of them,
+against the m/2 or so weights of T(m), so the Weyl and tilting decompositions
+multiply no characters.  A simple character is differenced into the same
+coordinates, so all three bases share one elimination.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ class Basis(str, Enum):
     TILTING = "tilting"
 
 
-@lru_cache(maxsize=None)
 def char_weyl(m: int) -> SymCharacter:
     """Weyl character of highest weight m: weights m, m - 2, ..., -m, all once."""
     if m < 0:
@@ -59,7 +59,6 @@ def char_weyl(m: int) -> SymCharacter:
     return SymCharacter({w: 1 for w in range(m, -1, -2)})
 
 
-@lru_cache(maxsize=None)
 def char_simple(m: int, p: int) -> SymCharacter:
     """Character of the simple module of highest weight m.
 
@@ -190,16 +189,21 @@ class Decomposition:
         return sum(c * basis_char(self.basis, m, self.p).dim for m, c in self.entries.items())
 
 
+def _weyl_coordinates(chi: SymCharacter, r: int) -> dict[int, int]:
+    """chi as a sum of Weyl characters at r, r - 2, ..., >= 0: the Weyl character
+    at w has multiplicity one at w, w - 2, ..., so its coefficient is
+    mult(w) - mult(w + 2)."""
+    return {w: chi.multiplicity(w) - chi.multiplicity(w + 2) for w in range(r, -1, -2)}
+
+
 def _member_row(basis: Basis, m: int, p: PrimeChar) -> Iterable[tuple[int, int]]:
-    """The basis member at m as (coordinate, coefficient) pairs: Weyl factors
-    for the Weyl and tilting bases, weights for the simple basis."""
+    """The basis member at m in Weyl coordinates, as (weight, coefficient) pairs."""
     if basis is Basis.DELTA:
         return ((m, 1),)
     if basis is Basis.TILTING:
         return ((k, 1) for k in tilting_weyl_factors(m, p))
     if basis is Basis.SIMPLE:
-        member = char_simple(m, p)
-        return ((u, member.multiplicity(u)) for u in member.support)
+        return _weyl_coordinates(char_simple(m, p), m).items()
     raise ValueError(f"unknown basis {basis!r}")
 
 
@@ -210,11 +214,10 @@ def decompose(chi: SymCharacter, basis: Basis, r: int, p: int) -> Decomposition:
     highest weight; coefficients come out signed.  The character must have
     the parity of r and support inside [-r, r].
 
-    For the Weyl and tilting bases one differencing pass puts chi in Weyl
-    coordinates: the Weyl character at w has multiplicity one at w, w - 2,
-    ..., so its coefficient is mult(w) - mult(w + 2).  Each elimination step
-    then subtracts along the Weyl factors of one tilting module, and no
-    character is multiplied.  The simple basis is eliminated weight by weight.
+    One differencing pass puts chi in Weyl coordinates, and each elimination
+    step subtracts one basis member in the same coordinates: a single Weyl
+    factor, the Weyl factors of one tilting module, or a differenced simple
+    character.  The Weyl and tilting bases multiply no characters.
     """
     p = PrimeChar(p)
     if r < 1:
@@ -224,18 +227,15 @@ def decompose(chi: SymCharacter, basis: Basis, r: int, p: int) -> Decomposition:
             raise ValueError("character parity does not match the degree")
         if chi.max_weight > r:
             raise ValueError("character support exceeds the degree")
-    if basis is Basis.SIMPLE:
-        residual = {w: chi.multiplicity(w) for w in chi.support}
-    else:
-        residual = {w: chi.multiplicity(w) - chi.multiplicity(w + 2) for w in range(r, -1, -2)}
+    residual = _weyl_coordinates(chi, r)
     entries: dict[int, int] = {}
     for w in range(r, -1, -2):
-        c = residual.get(w)
+        c = residual[w]
         if not c:
             continue
         entries[w] = c
         for u, k in _member_row(basis, w, p):
-            residual[u] = residual.get(u, 0) - c * k
+            residual[u] -= c * k
     return Decomposition(basis, entries, r, int(p))
 
 

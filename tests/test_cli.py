@@ -205,7 +205,18 @@ def test_out_writes_file(tmp_path, capsys):
 
 def test_usage_errors_exit_two(capsys):
     assert main(["no-such-command"]) == 2
-    assert main(["decompose-tensor", "--p", "2"]) == 2  # missing --r
+    capsys.readouterr()
+    # A missing degree is reported by the subcommand, naming only the options it takes.
+    assert main(["decompose-tensor", "--p", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lietilt decompose-tensor ")
+    assert err.endswith("lietilt decompose-tensor: error: the following arguments are required: --r\n")
+    assert "--r-min" not in err
+    assert main(["report-all", "--r-min", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lietilt report-all ")
+    assert err.endswith("lietilt report-all: error: the following arguments are required: --r-max\n")
+    assert "--r R " not in err
     assert main(["gzeta", "--r", "8", "--p", "4"]) == 2  # not a prime
     assert main(["theorem-b", "--p", "2", "--r-min", "5", "--r-max", "3"]) == 2
     assert main(["theorem-b", "--p", "2", "--r", "3", "--r-min", "2", "--r-max", "4"]) == 2
@@ -249,15 +260,6 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_verification_failure_exits_one(capsys, monkeypatch):
-    def boom(r):
-        raise ConsistencyError("forced")
-
-    monkeypatch.setattr("lietilt.cli.theorem_37_report", boom)
-    assert main(["theorem-37", "--r", "7"]) == 1
-    assert "verification failure" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(("argv", "stdout", "code"), [
     pytest.param(["decompose-tensor", "--p", "2"], os.devnull, 2, id="usage"),
     pytest.param(["gzeta", "--r", "7", "--p", "2"], os.devnull, 2, id="domain"),
@@ -277,6 +279,7 @@ def test_exit_code_table(argv, stdout, code, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("lietilt.cli.theorem_37_report", boom)
         assert main(argv) == code
         err = capsys.readouterr().err
+        assert "verification failure" in err
     else:
         src = str(Path(lietilt.__file__).parents[1])
         with open(stdout, "w") as sink:
@@ -291,7 +294,7 @@ def test_exit_code_table(argv, stdout, code, tmp_path, capsys, monkeypatch):
 
 
 def test_memo_policy():
-    # Only the basis tables and the primality test are memoized; everything
+    # Only the tilting factor table and the primality test are memoized; everything
     # else is computed afresh, so no caller can see another caller's result.
     memoized = set()
     for module in (lietilt.charring, lietilt.cli, lietilt.gzeta, lietilt.liechar, lietilt.modarith,
@@ -300,7 +303,7 @@ def test_memo_policy():
         for scope in scopes:
             memoized |= {name for name, obj in scope.items()
                          if hasattr(obj, "cache_info") and obj.__module__ == module.__name__}
-    assert memoized == {"char_weyl", "char_simple", "tilting_weyl_factors", "_is_prime"}
+    assert memoized == {"tilting_weyl_factors", "_is_prime"}
 
 
 def test_package_exports_each_name_once():
