@@ -260,6 +260,15 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_verification_failure_exits_one(capsys, monkeypatch):
+    def boom(r):
+        raise ConsistencyError("forced")
+
+    monkeypatch.setattr("lietilt.cli.theorem_37_report", boom)
+    assert main(["theorem-37", "--r", "7"]) == 1
+    assert "verification failure" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(("argv", "stdout", "code"), [
     pytest.param(["decompose-tensor", "--p", "2"], os.devnull, 2, id="usage"),
     pytest.param(["gzeta", "--r", "7", "--p", "2"], os.devnull, 2, id="domain"),
