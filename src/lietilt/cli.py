@@ -63,8 +63,13 @@ def _positive(text: str) -> int:
     return value
 
 
-def _resolve_degrees(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[list[int], bool]:
-    """Return (degrees, is_single) from --r or --r-min/--r-max."""
+def _resolve_degrees(args: argparse.Namespace) -> tuple[list[int], bool]:
+    """Return (degrees, is_single) from --r or --r-min/--r-max.
+
+    A bad combination is reported by the subcommand's own parser, so the
+    usage line names the subcommand and its options.
+    """
+    parser = args.command_parser
     r = getattr(args, "r", None)
     r_min = getattr(args, "r_min", None)
     r_max = getattr(args, "r_max", None)
@@ -216,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (help_text, p_mode, degrees, _) in COMMANDS.items():
         sp = sub.add_parser(name, parents=[common], help=help_text)
+        sp.set_defaults(command_parser=sp)
         if p_mode == "required":
             sp.add_argument("--p", type=_prime, required=True)
         elif p_mode == "default2":
@@ -229,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    degrees, single = _resolve_degrees(args, parser)
+def _dispatch(args: argparse.Namespace):
+    degrees, single = _resolve_degrees(args)
     *_, payload = COMMANDS[args.command]
     p = getattr(args, "p", 2)  # the characteristic-2 commands take no --p
     payloads = [payload(r, p) for r in degrees]
@@ -359,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload = _dispatch(args, parser)
+        payload = _dispatch(args)
         text = render(payload, args.format)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .charring import ConsistencyError, Partition2, SymCharacter, weight_set
-from .modarith import PrimeChar, divisors, mobius, witt_bidegree, witt_weight_count
+from .modarith import PrimeChar, divisors, mobius, poly_power_row, witt_bidegree
 from .tiltchar import Basis, Decomposition, char_weyl, decompose, tensor_power_decomp
 
 __all__ = [
@@ -37,12 +37,27 @@ def char_lie_power(r: int) -> SymCharacter:
     """Weight multiplicities of the degree-r Lie component on two letters.
 
     The multiplicity at weight r - 2i counts the Lyndon words of length r
-    with i second letters; the total dimension is the Witt necklace count
-    (1/r) * sum over d | r of mobius(d) * 2**(r/d).
+    with i second letters, (1/r) * sum over d | gcd(r, i) of
+    mobius(d) * C(r/d, i/d); the total dimension is the Witt necklace count
+    (1/r) * sum over d | r of mobius(d) * 2**(r/d).  Each d adds its binomial
+    row C(r/d, k) at i = k*d, and the division by r is exact and checked.
     """
     if r < 1:
         raise ValueError(f"degree must be positive, got {r}")
-    return SymCharacter({r - 2 * i: witt_weight_count(r, i) for i in range(r // 2 + 1)})
+    half = r // 2
+    acc = [0] * (half + 1)
+    for d in divisors(r):
+        mu = mobius(d)
+        if mu:
+            row = poly_power_row((1, 1), r // d, half // d + 1)
+            acc[::d] = [a + mu * c for a, c in zip(acc[::d], row)]
+    vals: dict[int, int] = {}
+    for i, a in enumerate(acc):
+        q, rem = divmod(a, r)
+        if rem:
+            raise ConsistencyError(f"necklace sum not divisible by {r} at weight {r - 2 * i}")
+        vals[r - 2 * i] = q
+    return SymCharacter(vals)
 
 
 def lie_power_char(chi: SymCharacter, r: int) -> SymCharacter:
@@ -87,10 +102,22 @@ class StohrSummand:
 
 def stohr_summand(s: int, t: int) -> StohrSummand:
     """Build the bidegree-(s, t) summand: s factors of the three-dimensional
-    and t factors of the two-dimensional Weyl character."""
+    and t factors of the two-dimensional Weyl character.
+
+    With y = x**-2 the product is x**(2s + t) * (1 + y + y**2)**s * (1 + y)**t,
+    so the multiplicity at weight 2s + t - 2j is the coefficient of y**j in the
+    trinomial row of s convolved with the binomial row of t.
+    """
     if s < 1 or t < 1:
         raise ValueError(f"need s, t >= 1, got ({s}, {t})")
-    chi = char_weyl(2) ** s * char_weyl(1) ** t
+    top = 2 * s + t
+    half = top // 2
+    tri = poly_power_row((1, 1, 1), s, half + 1)
+    mults = [0] * (half + 1)
+    for b, c in enumerate(poly_power_row((1, 1), t, half + 1)):
+        seg = [m + c * x for m, x in zip(mults[b:], tri)]  # add c * y**b * tri
+        mults[b:b + len(seg)] = seg
+    chi = SymCharacter({top - 2 * j: m for j, m in enumerate(mults)})
     return StohrSummand(s, t, witt_bidegree(s, t), chi)
 
 

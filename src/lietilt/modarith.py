@@ -1,21 +1,24 @@
 """Exact modular and combinatorial arithmetic.
 
 Prime validation, binomial coefficients modulo a prime via base-p digit
-products, the Moebius function, and the Witt counting formulas for graded
-components of a free Lie algebra on two letters.  Everything is exact integer
-arithmetic; nothing here depends on the rest of the package.
+products, the coefficient rows of powers of integer polynomials, the Moebius
+function, and the Witt counting formulas for graded components of a free Lie
+algebra on two letters.  Everything is exact integer arithmetic; nothing here
+depends on the rest of the package.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Sequence
 
 __all__ = [
     "PrimeChar",
     "binom_mod",
     "divisors",
     "mobius",
+    "poly_power_row",
     "witt_bidegree",
     "witt_weight_count",
 ]
@@ -88,6 +91,43 @@ def binom_mod(n: int, k: int, p: int) -> int:
             return 0
         out = out * math.comb(nd, kd) % p
     return out
+
+
+def poly_power_row(coeffs: Sequence[int], n: int, terms: int | None = None) -> list[int]:
+    """Coefficients a_0, a_1, ... of P(y)**n, where P(y) = coeffs[0] +
+    coeffs[1]*y + ... + coeffs[e]*y**e has integer coefficients and P(0) = 1:
+    all n*e + 1 of them, or the first `terms` when that is smaller.
+
+    J. C. P. Miller's recurrence for the power of a power series (Knuth,
+    TAOCP vol. 2, section 4.7): a_0 = 1 and, for k >= 1,
+    k*a_k = sum over i = 1 .. e of ((n + 1)*i - k) * P_i * a_{k-i}.
+    Each division by k is exact for an integer polynomial, and checked: a
+    remainder raises ValueError.  (1 + y)**n gives the binomial row
+    C(n, 0), ..., C(n, n) and (1 + y + y**2)**n the trinomial row.
+    """
+    if n < 0:
+        raise ValueError(f"exponent must be non-negative, got {n}")
+    if not coeffs or coeffs[0] != 1:
+        raise ValueError(f"need a polynomial with constant term 1, got {list(coeffs)}")
+    last = n * (len(coeffs) - 1)
+    if terms is not None:
+        if terms < 1:
+            raise ValueError(f"need at least one term, got {terms}")
+        last = min(last, terms - 1)
+    # ((n + 1)*i - k) * P_i = (n + 1)*i*P_i - k*P_i, over the nonzero P_i by ascending i.
+    steps = [(i, (n + 1) * i * c, c) for i, c in enumerate(coeffs) if i and c]
+    row = [1]
+    for k in range(1, last + 1):
+        acc = 0
+        for i, fixed, c in steps:
+            if i > k:
+                break
+            acc += (fixed - k * c) * row[k - i]
+        a, rem = divmod(acc, k)
+        if rem:
+            raise ValueError(f"coefficient {k} of P**{n} is not an integer: {acc}/{k}")
+        row.append(a)
+    return row
 
 
 def divisors(n: int) -> list[int]:

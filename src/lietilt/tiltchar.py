@@ -137,15 +137,15 @@ def char_tilting(m: int, p: int) -> SymCharacter:
     return SymCharacter(dict(tilting_multiplicities(m, p)))
 
 
-def basis_char(basis: Basis, m: int, p: int) -> SymCharacter:
-    """The member of the given basis with highest weight m."""
+def basis_char(basis: Basis | str, m: int, p: int) -> SymCharacter:
+    """The member of the given basis with highest weight m; the basis may be
+    given by its name, and an unknown name raises ValueError."""
+    basis = Basis(basis)
     if basis is Basis.DELTA:
         return char_weyl(m)
     if basis is Basis.SIMPLE:
         return char_simple(m, p)
-    if basis is Basis.TILTING:
-        return char_tilting(m, p)
-    raise ValueError(f"unknown basis {basis!r}")
+    return char_tilting(m, p)
 
 
 @dataclass(frozen=True)
@@ -202,23 +202,23 @@ def _member_row(basis: Basis, m: int, p: PrimeChar) -> Iterable[tuple[int, int]]
         return ((m, 1),)
     if basis is Basis.TILTING:
         return ((k, 1) for k in tilting_weyl_factors(m, p))
-    if basis is Basis.SIMPLE:
-        return _weyl_coordinates(char_simple(m, p), m).items()
-    raise ValueError(f"unknown basis {basis!r}")
+    return _weyl_coordinates(char_simple(m, p), m).items()
 
 
-def decompose(chi: SymCharacter, basis: Basis, r: int, p: int) -> Decomposition:
+def decompose(chi: SymCharacter, basis: Basis | str, r: int, p: int) -> Decomposition:
     """Coefficients of chi in the given basis, by greedy top-down elimination.
 
     Exact for any basis that is monic at the top with support bounded by the
     highest weight; coefficients come out signed.  The character must have
-    the parity of r and support inside [-r, r].
+    the parity of r and support inside [-r, r].  The basis may be given by
+    its name; an unknown name raises ValueError.
 
     One differencing pass puts chi in Weyl coordinates, and each elimination
     step subtracts one basis member in the same coordinates: a single Weyl
     factor, the Weyl factors of one tilting module, or a differenced simple
     character.  The Weyl and tilting bases multiply no characters.
     """
+    basis = Basis(basis)
     p = PrimeChar(p)
     if r < 1:
         raise ValueError(f"degree must be positive, got {r}")

@@ -4,9 +4,11 @@ Everything here deliberately takes a different route from the package:
 Lyndon words are enumerated one by one instead of counted by Moebius sums,
 the Moebius function comes from a linear sieve instead of trial division,
 primes come from the sieve of Eratosthenes instead of Miller-Rabin,
-subset sums are tried exhaustively, tilting characters are built from
-products of characters instead of read off lists of Weyl factors, and
-decompositions eliminate weight by weight instead of in Weyl coordinates.
+subset sums are tried exhaustively, tilting characters and the bidegree
+summands are built from products of characters instead of read off lists of
+Weyl factors or coefficient rows, powers of polynomials are multiplied out
+instead of run through Miller's recurrence, and decompositions eliminate
+weight by weight instead of in Weyl coordinates.
 """
 
 from __future__ import annotations
@@ -102,6 +104,24 @@ def char_tilting_by_products(m: int, p: int) -> SymCharacter:
     b, a = divmod(m - (p - 1), p)
     second = char_weyl(p - 1 + a) + char_weyl(p - 1 - a) if a else char_weyl(p - 1)
     return char_tilting_by_products(b, p).scale_weights(p) * second
+
+
+def stohr_character_by_products(s: int, t: int) -> SymCharacter:
+    """Character of the bidegree-(s, t) summand as s factors of the
+    three-dimensional and t factors of the two-dimensional Weyl character."""
+    return char_weyl(2) ** s * char_weyl(1) ** t
+
+
+def polynomial_power_by_products(coeffs: Sequence[int], n: int) -> list[int]:
+    """Coefficients of P(y)**n by n schoolbook products from the constant 1."""
+    out = [1]
+    for _ in range(n):
+        prod = [0] * (len(out) + len(coeffs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(coeffs):
+                prod[i + j] += a * b
+        out = prod
+    return out
 
 
 def decompose_by_weight(chi: SymCharacter, member: Callable[[int], SymCharacter], r: int) -> dict[int, int]:

@@ -217,6 +217,15 @@ def test_usage_errors_exit_two(capsys):
     assert err.startswith("usage: lietilt report-all ")
     assert err.endswith("lietilt report-all: error: the following arguments are required: --r-max\n")
     assert "--r R " not in err
+    # A bad degree combination is reported by the subcommand too.
+    assert main(["theorem-37", "--r-min", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lietilt theorem-37 ")
+    assert err.endswith("lietilt theorem-37: error: missing --r (or --r-min and --r-max)\n")
+    assert main(["report-all", "--r-min", "9", "--r-max", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lietilt report-all ")
+    assert err.endswith("lietilt report-all: error: --r-min must not exceed --r-max\n")
     assert main(["gzeta", "--r", "8", "--p", "4"]) == 2  # not a prime
     assert main(["theorem-b", "--p", "2", "--r-min", "5", "--r-max", "3"]) == 2
     assert main(["theorem-b", "--p", "2", "--r", "3", "--r-min", "2", "--r-max", "4"]) == 2

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lietilt import liechar
 from lietilt.charring import ConsistencyError, SymCharacter, lambda_of, weight_set
 from lietilt.liechar import (
     StohrSummand,
@@ -15,9 +18,10 @@ from lietilt.liechar import (
     stohr_tilting_decomp,
     tilting_multiplicity_lower_bound,
 )
+from lietilt.modarith import witt_weight_count
 from lietilt.tiltchar import Basis, char_tilting, char_weyl, decompose, tensor_power_decomp
 
-from oracles import free_lie_dim, lyndon_second_letter_counts, lyndon_weight_counts
+from oracles import free_lie_dim, lyndon_second_letter_counts, lyndon_weight_counts, stohr_character_by_products
 
 
 # -- Lie power characters ----------------------------------------------
@@ -48,8 +52,22 @@ def test_char_lie_power_weights_match_lyndon_words():
             assert chi.multiplicity(r - 2 * i) == counts.get(i, 0)
 
 
+def test_char_lie_power_matches_witt_weight_count():
+    for r in range(1, 401):
+        chi = char_lie_power(r)
+        for i in range(r + 1):
+            assert chi.multiplicity(r - 2 * i) == witt_weight_count(r, i)
+
+
+def test_char_lie_power_refuses_non_exact_division(monkeypatch):
+    # With every Moebius sign +1, the weight-3 sum at r = 3 is C(3, 0) + C(1, 0) = 2.
+    monkeypatch.setattr(liechar, "mobius", lambda d: 1)
+    with pytest.raises(ConsistencyError, match="not divisible by 3 at weight 3"):
+        char_lie_power(3)
+
+
 def test_lie_power_char_generalises_natural_case():
-    for r in range(1, 13):
+    for r in range(1, 61):
         assert lie_power_char(char_weyl(1), r) == char_lie_power(r)
 
 
@@ -105,6 +123,12 @@ def test_stohr_summand_dimension():
             assert summand.character.dim == 3**s * 2**t
             assert summand.character.max_weight == 2 * s + t
             assert summand.degree == 2 * s + 3 * t
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 200), st.integers(1, 60))
+def test_stohr_summand_matches_product_oracle(s, t):
+    assert stohr_summand(s, t).character == stohr_character_by_products(s, t)
 
 
 def test_stohr_summand_validates():

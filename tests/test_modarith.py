@@ -1,11 +1,29 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lietilt.modarith import PrimeChar, binom_mod, divisors, mobius, witt_bidegree, witt_weight_count
-from oracles import lyndon_count, lyndon_second_letter_counts, lyndon_words, sieve_mobius, sieve_primes
+from lietilt.modarith import (
+    PrimeChar,
+    binom_mod,
+    divisors,
+    mobius,
+    poly_power_row,
+    witt_bidegree,
+    witt_weight_count,
+)
+from oracles import (
+    lyndon_count,
+    lyndon_second_letter_counts,
+    lyndon_words,
+    polynomial_power_by_products,
+    sieve_mobius,
+    sieve_primes,
+)
 
 
 def test_primechar_accepts_primes():
@@ -164,3 +182,43 @@ def test_lyndon_oracle_sanity():
     # necklace numbers on two letters: 2, 1, 2, 3, 6, 9, 18, 30
     assert [lyndon_count(2, n) for n in range(1, 9)] == [2, 1, 2, 3, 6, 9, 18, 30]
     assert list(lyndon_words(2, 2)) == [(0, 1)]
+
+
+# -- coefficient rows of polynomial powers ------------------------------
+
+
+def test_poly_power_row_binomial_matches_comb():
+    for n in range(301):
+        assert poly_power_row((1, 1), n) == [math.comb(n, k) for k in range(n + 1)]
+
+
+def test_poly_power_row_trinomial_known():
+    assert poly_power_row((1, 1, 1), 0) == [1]
+    assert poly_power_row((1, 1, 1), 1) == [1, 1, 1]
+    assert poly_power_row((1, 1, 1), 3) == [1, 3, 6, 7, 6, 3, 1]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.integers(-6, 6), max_size=5), st.integers(0, 40), st.integers(1, 250))
+def test_poly_power_row_matches_repeated_products(tail, n, terms):
+    coeffs = [1] + tail
+    full = polynomial_power_by_products(coeffs, n)
+    assert poly_power_row(coeffs, n) == full
+    assert poly_power_row(coeffs, n, terms) == full[:terms]
+
+
+def test_poly_power_row_validates():
+    with pytest.raises(ValueError):
+        poly_power_row((1, 1), -1)
+    with pytest.raises(ValueError):
+        poly_power_row((), 3)
+    with pytest.raises(ValueError):
+        poly_power_row((2, 1), 3)
+    with pytest.raises(ValueError):
+        poly_power_row((1, 1), 3, 0)
+
+
+def test_poly_power_row_refuses_non_exact_division():
+    # (1 + y/2)**2 = 1 + y + y**2/4: the division for the y**2 coefficient leaves a remainder.
+    with pytest.raises(ValueError, match="not an integer"):
+        poly_power_row((1, Fraction(1, 2)), 2)

@@ -183,6 +183,19 @@ def test_basis_char_dispatch():
     assert basis_char(Basis.TILTING, 6, 2) == char_tilting(6, 2)
 
 
+def test_basis_given_by_name():
+    chi = SymCharacter({4: 1})
+    for basis in Basis:
+        assert basis_char(basis.value, 6, 2) == basis_char(basis, 6, 2)
+        dec = decompose(chi, basis.value, 4, 2)
+        assert dec.basis is basis
+        assert dec.entries == decompose(chi, basis, 4, 2).entries
+    assert decompose(SymCharacter(), "tilting", 4, 2).basis is Basis.TILTING
+    for call in (lambda: basis_char("bogus", 4, 2), lambda: decompose(chi, "bogus", 4, 2)):
+        with pytest.raises(ValueError, match="bogus"):
+            call()
+
+
 # -- decomposition ------------------------------------------------------
 
 
