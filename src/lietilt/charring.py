@@ -14,9 +14,8 @@ characters from different degrees were combined by mistake.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .modarith import PrimeChar
 
@@ -146,16 +145,27 @@ class SymCharacter:
         return f"SymCharacter({{{inner}}})"
 
 
-@dataclass(frozen=True, order=True)
-class Partition2:
-    """A partition with at most two rows: lambda1 >= lambda2 >= 0."""
-
+class _Partition2Fields(NamedTuple):
     lambda1: int
     lambda2: int
 
-    def __post_init__(self) -> None:
-        if not self.lambda1 >= self.lambda2 >= 0:
-            raise ValueError(f"need lambda1 >= lambda2 >= 0, got ({self.lambda1}, {self.lambda2})")
+
+class Partition2(_Partition2Fields):
+    """A partition with at most two rows: lambda1 >= lambda2 >= 0.
+
+    A tuple of its two rows, so partitions order row by row."""
+
+    __slots__ = ()
+
+    def __new__(cls, lambda1: int, lambda2: int) -> Partition2:
+        if not lambda1 >= lambda2 >= 0:
+            raise ValueError(f"need lambda1 >= lambda2 >= 0, got ({lambda1}, {lambda2})")
+        return super().__new__(cls, lambda1, lambda2)
+
+    @classmethod
+    def _make(cls, iterable) -> Partition2:
+        # _replace builds through _make; validate there too.
+        return cls(*iterable)
 
     @property
     def degree(self) -> int:

@@ -10,7 +10,7 @@ module, which in turn decides whether the near-top tilting summand occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .modarith import PrimeChar, binom_mod
 from .tiltchar import is_weyl_simple
@@ -54,8 +54,7 @@ def c_sequence(r: int, p: int) -> tuple[int, ...]:
     return tuple(binom_mod(r - 1, j, p) * (sign_odd if j % 2 else 1) % p for j in range(r))
 
 
-@dataclass(frozen=True)
-class GZetaProfile:
+class GZetaProfile(NamedTuple):
     """Per-weight nonzeroness profile of the near-top submodule.
 
     Two facts about the coefficient sequence decide every weight space:

@@ -11,8 +11,8 @@ for tilting multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .charring import ConsistencyError, Partition2, SymCharacter, weight_set
 from .modarith import PrimeChar, divisors, mobius, poly_power_row, witt_bidegree
@@ -83,8 +83,7 @@ def lie_power_char(chi: SymCharacter, r: int) -> SymCharacter:
     return SymCharacter(vals)
 
 
-@dataclass(frozen=True)
-class StohrSummand:
+class StohrSummand(NamedTuple):
     """One bidegree piece of the characteristic-2 splitting of a Lie power:
     s three-dimensional and t two-dimensional Weyl factors, with the Witt
     multiplicity of that bidegree."""
@@ -104,19 +103,27 @@ def stohr_summand(s: int, t: int) -> StohrSummand:
     """Build the bidegree-(s, t) summand: s factors of the three-dimensional
     and t factors of the two-dimensional Weyl character.
 
-    With y = x**-2 the product is x**(2s + t) * (1 + y + y**2)**s * (1 + y)**t,
-    so the multiplicity at weight 2s + t - 2j is the coefficient of y**j in the
-    trinomial row of s convolved with the binomial row of t.
+    With y = x**-2 the product is x**(2s + t) * Q(y), Q = (1 + y + y**2)**s *
+    (1 + y)**t, so the multiplicity at weight 2s + t - 2j is the coefficient
+    q_j of y**j in Q.  Q solves D*Q' = N*Q with D = 1 + 2y + 2y**2 + y**3 and
+    N = (s + t) + (3s + t)*y + (2s + t)*y**2, so q_0 = 1 and
+    k*q_k = sum over i = 0 .. 2 of N_i*q_{k-1-i} - sum over i = 1 .. 3 of
+    D_i*(k - i)*q_{k-i}: three small-by-big products per coefficient.  Each
+    division by k is exact, and checked.
     """
     if s < 1 or t < 1:
         raise ValueError(f"need s, t >= 1, got ({s}, {t})")
     top = 2 * s + t
-    half = top // 2
-    tri = poly_power_row((1, 1, 1), s, half + 1)
-    mults = [0] * (half + 1)
-    for b, c in enumerate(poly_power_row((1, 1), t, half + 1)):
-        seg = [m + c * x for m, x in zip(mults[b:], tri)]  # add c * y**b * tri
-        mults[b:b + len(seg)] = seg
+    n0, n1, n2 = s + t, 3 * s + t, 2 * s + t
+    mults = [1]
+    q1, q2, q3 = 1, 0, 0  # q_{k-1}, q_{k-2}, q_{k-3}, zero below q_0
+    for k in range(1, top // 2 + 1):
+        acc = (n0 - 2 * (k - 1)) * q1 + (n1 - 2 * (k - 2)) * q2 + (n2 - (k - 3)) * q3
+        q, rem = divmod(acc, k)
+        if rem:
+            raise ConsistencyError(f"coefficient {k} of the bidegree ({s}, {t}) row is not an integer: {acc}/{k}")
+        mults.append(q)
+        q1, q2, q3 = q, q1, q2
     chi = SymCharacter({top - 2 * j: m for j, m in enumerate(mults)})
     return StohrSummand(s, t, witt_bidegree(s, t), chi)
 
@@ -177,8 +184,7 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class LieDecompReport:
+class LieDecompReport(NamedTuple):
     """A Lie power character with its tilting-basis content and verdict."""
 
     r: int

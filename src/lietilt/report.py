@@ -13,8 +13,8 @@ Three sweeps, one per classification result carried by the CLI:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .charring import ConsistencyError, Partition2, SymCharacter, two_row_partitions
 from .gzeta import is_p_power, theorem_b_predicate
@@ -48,8 +48,7 @@ class Evidence(str, Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class TheoremARow:
+class TheoremARow(NamedTuple):
     partition: Partition2
     expected: bool
     evidence: Evidence
@@ -106,8 +105,7 @@ class TheoremCClause(str, Enum):
     IV = "iv"  # r = 2 * p**m, p = 3
 
 
-@dataclass(frozen=True)
-class TheoremCRow:
+class TheoremCRow(NamedTuple):
     clause: TheoremCClause
     partition: Partition2
     claimed: bool

@@ -18,11 +18,10 @@ coordinates, so all three bases share one elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .charring import ConsistencyError, SymCharacter, weight_set
 from .modarith import PrimeChar
@@ -148,8 +147,14 @@ def basis_char(basis: Basis | str, m: int, p: int) -> SymCharacter:
     return char_tilting(m, p)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class _DecompositionFields(NamedTuple):
+    basis: Basis
+    entries: Mapping[int, int]
+    r: int
+    p: int
+
+
+class Decomposition(_DecompositionFields):
     """Signed multiplicities of a degree-r character in a highest-weight basis.
 
     Entries map highest weights to nonzero signed coefficients.  They are
@@ -157,13 +162,15 @@ class Decomposition:
     change what another holder of it reads.
     """
 
-    basis: Basis
-    entries: Mapping[int, int]
-    r: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+    def __new__(cls, basis: Basis, entries: Mapping[int, int], r: int, p: int) -> Decomposition:
+        return super().__new__(cls, basis, MappingProxyType(dict(entries)), r, p)
+
+    @classmethod
+    def _make(cls, iterable) -> Decomposition:
+        # _replace builds through _make; copy the entries there too.
+        return cls(*iterable)
 
     def coefficient(self, m: int) -> int:
         return self.entries.get(m, 0)

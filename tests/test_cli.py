@@ -328,3 +328,14 @@ def test_package_exports_each_name_once():
     names = lietilt.__all__
     assert len(names) == len(set(names))  # a name in two modules would be shadowed by the star imports
     assert all(hasattr(lietilt, name) for name in names)
+
+
+def test_cli_import_skips_the_introspection_modules():
+    # Each CLI run is a new process, so start-up is paid per verdict; dataclasses alone
+    # pulls in inspect, ast, dis and tokenize.  -S keeps site's .pth imports out.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    src = str(Path(lietilt.__file__).parents[1])
+    code = f"import sys, lietilt.cli; print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert proc.stdout.split() == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -90,6 +91,33 @@ def test_weight_nonzero_matches_subset_sum_oracle():
             cs = c_sequence(r, p)
             for v in range(1, r + 1):
                 assert weight_nonzero(r, p, v) == subset_sum_nonzero(cs, v, p)
+
+
+def test_weight_nonzero_agrees_with_sampled_subsets_past_exhaustive_range():
+    # Past r = 16 the subsets cannot all be listed, so sample them: a nonzero sampled sum
+    # must be allowed by the verdict, and a nonzero verdict is witnessed by one swap.
+    rng = random.Random(2011)
+    zero_verdicts = witnessed = 0
+    for p in (2, 3, 5):
+        powers = [p**m for m in range(2, 10) if 16 < p**m <= 400]
+        for r in powers + rng.sample(range(18 * p, 401, p), 6):
+            cs = c_sequence(r, p)
+            for v in rng.sample(range(1, r + 1), 8) + [r - 1, r, p * rng.randint(1, r // p)]:
+                verdict = weight_nonzero(r, p, v)
+                for _ in range(12):
+                    picked = rng.sample(range(r), v)
+                    total = sum(cs[i] for i in picked) % p
+                    assert not total or verdict, (r, p, v)
+                    if v == r:  # one subset: the sample is exhaustive
+                        assert bool(total) == verdict, (r, p)
+                    elif verdict and not total:
+                        # cs equal on both sides of the split would make cs constant.
+                        inside = set(picked)
+                        i, j = next((i, j) for i in picked for j in range(r) if j not in inside and cs[i] != cs[j])
+                        assert (total - cs[i] + cs[j]) % p, (r, p, v)
+                        witnessed += 1
+                zero_verdicts += not verdict
+    assert zero_verdicts and witnessed  # both directions were exercised
 
 
 def test_gzeta_profile_invariants():
