@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from pathlib import Path
 
 from .charring import ConsistencyError
 from .gzeta import gzeta_profile, theorem_b_predicate
@@ -217,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    common.add_argument("--out", type=Path, default=None, help="write output to a file instead of stdout")
+    common.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     for name, (help_text, p_mode, degrees, _) in COMMANDS.items():
         sp = sub.add_parser(name, parents=[common], help=help_text)
@@ -381,7 +380,8 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
             sys.stdout.flush()
         else:
-            args.out.write_text(text)
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except OSError as exc:
         return _write_failed(exc, args.out is None)
     return 0

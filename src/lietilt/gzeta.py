@@ -10,9 +10,10 @@ module, which in turn decides whether the near-top tilting summand occurs.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
-from .modarith import PrimeChar, binom_mod
+from .modarith import PrimeChar
 from .tiltchar import is_weyl_simple
 
 __all__ = [
@@ -47,11 +48,32 @@ def c_sequence(r: int, p: int) -> tuple[int, ...]:
 
     Requires p | r.  For r a power of p every entry is 1; in general the
     entries must be computed, not pattern-matched.
+
+    By Lucas's theorem C(n, j) mod p is the product of C(n_i, j_i) over the
+    base-p digits n_i of n = r - 1 and j_i of j, and it vanishes as soon as
+    some j_i exceeds n_i.  The digits of n and their rows C(n_i, 0 .. n_i)
+    mod p are found once per degree; each entry then walks the digits of j.
     """
     p = PrimeChar(p)
     _require_divisible(r, p)
-    sign_odd = p - 1  # -1 mod p
-    return tuple(binom_mod(r - 1, j, p) * (sign_odd if j % 2 else 1) % p for j in range(r))
+    q = int(p)
+    rows = []
+    n = r - 1
+    while n:
+        n, nd = divmod(n, q)
+        rows.append([math.comb(nd, k) % q for k in range(nd + 1)])
+    sign_odd = q - 1  # -1 mod p
+    out = []
+    for j in range(r):
+        c, k = 1, j
+        for row in rows:
+            k, kd = divmod(k, q)
+            if kd >= len(row):
+                c = 0
+                break
+            c = c * row[kd] % q
+        out.append(c * sign_odd % q if j % 2 else c)
+    return tuple(out)
 
 
 class GZetaProfile(NamedTuple):

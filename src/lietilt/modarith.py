@@ -1,10 +1,9 @@
 """Exact modular and combinatorial arithmetic.
 
-Prime validation, binomial coefficients modulo a prime via base-p digit
-products, the coefficient rows of powers of integer polynomials, the Moebius
-function, and the Witt counting formulas for graded components of a free Lie
-algebra on two letters.  Everything is exact integer arithmetic; nothing here
-depends on the rest of the package.
+Prime validation, the coefficient rows of powers of integer polynomials, the
+Moebius function, and the Witt counting formulas for graded components of a
+free Lie algebra on two letters.  Everything is exact integer arithmetic;
+nothing here depends on the rest of the package.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Sequence
 
 __all__ = [
     "PrimeChar",
-    "binom_mod",
     "divisors",
     "mobius",
     "poly_power_row",
@@ -69,28 +67,6 @@ class PrimeChar(int):
 
     def __repr__(self) -> str:
         return f"PrimeChar({int(self)})"
-
-
-def binom_mod(n: int, k: int, p: int) -> int:
-    """Binomial coefficient C(n, k) modulo the prime p.
-
-    Computed digit by digit in base p: the residue is the product of the
-    small binomials of corresponding digits, and it vanishes as soon as a
-    digit of k exceeds the matching digit of n.  Out-of-range k gives 0.
-    """
-    p = PrimeChar(p)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    while n:
-        n, nd = divmod(n, p)
-        k, kd = divmod(k, p)
-        if kd > nd:
-            return 0
-        out = out * math.comb(nd, kd) % p
-    return out
 
 
 def poly_power_row(coeffs: Sequence[int], n: int, terms: int | None = None) -> list[int]:

@@ -14,9 +14,9 @@ Three sweeps, one per classification result carried by the CLI:
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .charring import ConsistencyError, Partition2, SymCharacter, two_row_partitions
+from .charring import ConsistencyError, Partition2, two_row_partitions
 from .gzeta import is_p_power, theorem_b_predicate
 from .liechar import (
     LieDecompReport,
@@ -27,7 +27,7 @@ from .liechar import (
     stohr_tilting_decomp,
 )
 from .modarith import PrimeChar, witt_weight_count
-from .tiltchar import tilting_multiplicities
+from .tiltchar import tilting_bands
 
 __all__ = [
     "Evidence",
@@ -112,14 +112,16 @@ class TheoremCRow(NamedTuple):
     char_consistent: bool
 
 
-def _char_consistent(chi: SymCharacter, m: int, p: int) -> bool:
+def _char_consistent(mults: Sequence[int], m: int, p: int) -> bool:
     """Necessary condition for a tilting summand of highest weight m: one
     subtraction of its character must leave non-negative multiplicities.
 
-    The multiplicities of T(m) are read off its Weyl factors; its character
-    is never built."""
-    # Off that support chi keeps its Lyndon-word counts, which are never negative.
-    return all(chi.multiplicity(w) >= k for w, k in tilting_multiplicities(m, p))
+    mults[w // 2] is the multiplicity at weight w, for the weights of the
+    parity of m up to at least m.  T(m) is read off its Weyl-factor bands
+    and never built: each band of constant multiplicity k needs its least
+    entry of mults to be at least k."""
+    # Above m a Lie power keeps its Lyndon-word counts, which are never negative.
+    return all(min(mults[bottom // 2 : top // 2 + 1]) >= k for k, top, bottom in tilting_bands(m, p))
 
 
 def _theorem_c_clause(r: int, p: PrimeChar) -> tuple[TheoremCClause, int]:
@@ -160,12 +162,13 @@ def theorem_c_report(r: int, p: int) -> list[TheoremCRow]:
             exceptions.add(Partition2(pm + 1, pm - 1))
             exceptions.add(Partition2(pm + 2, pm - 2))
     chi = char_lie_power(r)
+    mults = [chi.multiplicity(w) for w in range(r % 2, r + 1, 2)]
     rows = []
     for lam in two_row_partitions(r):
         claimed = lam not in exceptions
         if lam.lambda2 == 1 and claimed != theorem_b_predicate(r, p):
             raise ConsistencyError(f"near-top row disagrees with the coefficient-sequence engine at r={r}, p={int(p)}")
-        rows.append(TheoremCRow(clause, lam, claimed, _char_consistent(chi, lam.weight, p)))
+        rows.append(TheoremCRow(clause, lam, claimed, _char_consistent(mults, lam.weight, p)))
     return rows
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "is_weyl_simple",
     "natural_power_char",
     "tensor_power_decomp",
+    "tilting_bands",
     "tilting_multiplicities",
     "tilting_weyl_factors",
     "weyl_twist_identity",
@@ -115,15 +116,22 @@ def tilting_weyl_factors(m: int, p: int) -> tuple[int, ...]:
     return tuple(p * n + p - 1 + s for n in tilting_weyl_factors(b, p) for s in shifts)
 
 
-def tilting_multiplicities(m: int, p: int) -> Iterator[tuple[int, int]]:
-    """(weight, multiplicity) over the non-negative weights of T(m), descending.
+def tilting_bands(m: int, p: int) -> Iterator[tuple[int, int, int]]:
+    """(k, top, bottom) for the k-th Weyl factor of T(m), k = 1, 2, ...:
+    T(m) has multiplicity k at the weights top, top - 2, ..., bottom.
 
-    The multiplicity at w is the number of Weyl factors at or above w: it is
-    k from the k-th factor down to just above the next one.
+    The multiplicity at w is the number of Weyl factors at or above w, so a
+    band runs from the k-th factor down to just above the next one, and the
+    last band down to 0 or 1.
     """
     factors = tilting_weyl_factors(m, p)
-    bands = enumerate(zip(factors, factors[1:] + (m % 2 - 2,)), 1)
-    return ((w, k) for k, (top, below) in bands for w in range(top, below, -2))
+    bottoms = [n + 2 for n in factors[1:]] + [m % 2]
+    return ((k, top, bottom) for k, (top, bottom) in enumerate(zip(factors, bottoms), 1))
+
+
+def tilting_multiplicities(m: int, p: int) -> Iterator[tuple[int, int]]:
+    """(weight, multiplicity) over the non-negative weights of T(m), descending."""
+    return ((w, k) for k, top, bottom in tilting_bands(m, p) for w in range(top, bottom - 2, -2))
 
 
 def char_tilting(m: int, p: int) -> SymCharacter:

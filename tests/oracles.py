@@ -7,19 +7,24 @@ primes come from the sieve of Eratosthenes instead of Miller-Rabin,
 subset sums are tried exhaustively, tilting characters and the bidegree
 summands are built from products of characters instead of read off lists of
 Weyl factors or coefficient rows, powers of polynomials are multiplied out
-instead of run through Miller's recurrence, and decompositions eliminate
-weight by weight instead of in Weyl coordinates.
+instead of run through Miller's recurrence, decompositions eliminate
+weight by weight instead of in Weyl coordinates, the coefficient sequence
+takes one binomial at a time instead of reading per-degree digit rows, and
+the character consistency check compares every weight instead of the least
+multiplicity in each band.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from lietilt.charring import SymCharacter
-from lietilt.tiltchar import char_weyl
+from lietilt.modarith import PrimeChar
+from lietilt.tiltchar import char_weyl, tilting_multiplicities
 
 
 def lyndon_words(k: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -154,3 +159,36 @@ def free_lie_dim(n_letters: int, r: int) -> int:
 def subset_sum_nonzero(coeffs: Sequence[int], v: int, p: int) -> bool:
     """Exhaustively test whether some v-element subset has sum != 0 mod p."""
     return any(sum(sub) % p for sub in itertools.combinations(coeffs, v))
+
+
+def binom_mod(n: int, k: int, p: int) -> int:
+    """Binomial coefficient C(n, k) modulo the prime p.
+
+    Computed digit by digit in base p: the residue is the product of the
+    small binomials of corresponding digits, and it vanishes as soon as a
+    digit of k exceeds the matching digit of n.  Out-of-range k gives 0.
+    """
+    p = PrimeChar(p)
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if k < 0 or k > n:
+        return 0
+    out = 1
+    while n:
+        n, nd = divmod(n, p)
+        k, kd = divmod(k, p)
+        if kd > nd:
+            return 0
+        out = out * math.comb(nd, kd) % p
+    return out
+
+
+def c_sequence_by_binomials(r: int, p: int) -> tuple[int, ...]:
+    """(-1)**j * C(r - 1, j) mod p for j = 0 .. r - 1, one binom_mod call per entry."""
+    return tuple(binom_mod(r - 1, j, p) * (-1) ** j % p for j in range(r))
+
+
+def char_consistent_by_weights(chi: SymCharacter, m: int, p: int) -> bool:
+    """Whether chi keeps non-negative multiplicities after one subtraction of
+    the character of T(m), compared weight by weight."""
+    return all(chi.multiplicity(w) >= k for w, k in tilting_multiplicities(m, p))

@@ -267,6 +267,8 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     assert main(["decompose-tensor", "--r", "3", "--p", "2", "--out", str(missing)]) == 2  # I/O error
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert main(["decompose-tensor", "--r", "3", "--p", "2", "--out", ""]) == 2  # opened as given, not as "."
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
 
 
 def test_verification_failure_exits_one(capsys, monkeypatch):
@@ -283,6 +285,7 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     pytest.param(["gzeta", "--r", "7", "--p", "2"], os.devnull, 2, id="domain"),
     pytest.param(["decompose-tensor", "--r", "3", "--p", "2", "--out", "{tmp}/missing/x.json"], os.devnull, 2,
                  id="out-missing-dir"),
+    pytest.param(["decompose-tensor", "--r", "3", "--p", "2", "--out", ""], os.devnull, 2, id="out-empty"),
     pytest.param(["decompose-tensor", "--r", "3", "--p", "2"], "/dev/full", 2, id="stdout-full"),
     pytest.param(["--help"], "/dev/full", 2, id="help-stdout-full"),
     pytest.param(["theorem-b", "--help"], "/dev/full", 2, id="subcommand-help-stdout-full"),
@@ -333,7 +336,7 @@ def test_package_exports_each_name_once():
 def test_cli_import_skips_the_introspection_modules():
     # Each CLI run is a new process, so start-up is paid per verdict; dataclasses alone
     # pulls in inspect, ast, dis and tokenize.  -S keeps site's .pth imports out.
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib")
     src = str(Path(lietilt.__file__).parents[1])
     code = f"import sys, lietilt.cli; print(' '.join(m for m in {heavy!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,

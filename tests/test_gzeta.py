@@ -4,7 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lietilt.cli import R_MAX
 from lietilt.gzeta import (
     GZetaProfile,
     c_sequence,
@@ -17,7 +20,7 @@ from lietilt.gzeta import (
 )
 from lietilt.tiltchar import char_simple, is_weyl_simple
 
-from oracles import subset_sum_nonzero
+from oracles import c_sequence_by_binomials, subset_sum_nonzero
 
 
 # -- p-power detection --------------------------------------------------
@@ -65,6 +68,21 @@ def test_c_sequence_p_power_rows_are_all_ones():
 def test_c_sequence_known_example():
     assert c_sequence(6, 3) == (1, 1, 1, 2, 2, 2)
     assert c_sequence(6, 2) == (1, 1, 0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_c_sequence_matches_per_entry_oracle(p):
+    for r in range(p, 1201, p):
+        assert c_sequence(r, p) == c_sequence_by_binomials(r, p)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_c_sequence_matches_per_entry_oracle_up_to_r_max(data):
+    # 4093 is the largest prime below R_MAX: one digit row, longer than the sequence.
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13, 4093)))
+    r = p * data.draw(st.integers(1, R_MAX // p))
+    assert c_sequence(r, p) == c_sequence_by_binomials(r, p)
 
 
 # -- weight-space profiles ---------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lietilt.modarith import (
     PrimeChar,
-    binom_mod,
     divisors,
     mobius,
     poly_power_row,
@@ -17,6 +16,7 @@ from lietilt.modarith import (
     witt_weight_count,
 )
 from oracles import (
+    binom_mod,
     lyndon_count,
     lyndon_second_letter_counts,
     lyndon_words,

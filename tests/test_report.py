@@ -16,7 +16,7 @@ from lietilt.report import (
 )
 from lietilt.tiltchar import char_weyl
 
-from oracles import char_tilting_by_products
+from oracles import char_consistent_by_weights, char_tilting_by_products
 
 
 # -- characteristic-2 inclusion table -----------------------------------
@@ -167,7 +167,20 @@ def test_char_consistent_matches_product_oracle_on_sums_of_weyl_characters(data)
     chi = SymCharacter()
     for k in tops:
         chi = chi + char_weyl(k)
-    assert _char_consistent(chi, m, p) == _consistent_by_products(chi, m, p)
+    mults = [chi.multiplicity(w) for w in range(r % 2, r + 1, 2)]
+    assert _char_consistent(mults, m, p) == _consistent_by_products(chi, m, p)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_char_consistent_bands_match_per_weight_oracle_on_random_rows(data):
+    # Small random multiplicities fall below T(m) inside a band, not only at its top weight.
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    r = data.draw(st.integers(0, 300))
+    m = data.draw(st.sampled_from(range(r % 2, r + 1, 2)))
+    mults = data.draw(st.lists(st.integers(0, 5), min_size=r // 2 + 1, max_size=r // 2 + 1))
+    chi = SymCharacter({w: mults[w // 2] for w in range(r % 2, r + 1, 2)})
+    assert _char_consistent(mults, m, p) == char_consistent_by_weights(chi, m, p)
 
 
 def test_theorem_c_report_validates():
