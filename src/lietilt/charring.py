@@ -17,7 +17,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .modarith import PrimeChar
+from .modarith import ConsistencyError, PrimeChar
 
 __all__ = [
     "ConsistencyError",
@@ -27,10 +27,6 @@ __all__ = [
     "two_row_partitions",
     "weight_set",
 ]
-
-
-class ConsistencyError(RuntimeError):
-    """A computed result contradicts a structural guarantee of the theory."""
 
 
 class SymCharacter:
@@ -106,8 +102,9 @@ class SymCharacter:
         if not isinstance(other, SymCharacter):
             return NotImplemented
         out: dict[int, int] = {}
+        right = list(other._signed_items())
         for u, a in self._signed_items():
-            for v, b in other._signed_items():
+            for v, b in right:
                 w = u + v
                 if w >= 0:
                     out[w] = out.get(w, 0) + a * b

@@ -1,8 +1,9 @@
 """Exact modular and combinatorial arithmetic.
 
 Prime validation, the coefficient rows of powers of integer polynomials, the
-Moebius function, and the Witt counting formulas for graded components of a
-free Lie algebra on two letters.  Everything is exact integer arithmetic;
+Moebius function, the Witt counting formulas for graded components of a
+free Lie algebra on two letters, and ConsistencyError, the package's error
+for a failed structural check.  Everything is exact integer arithmetic;
 nothing here depends on the rest of the package.
 """
 
@@ -12,6 +13,8 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
+# ConsistencyError is defined here, below every other module, and exported
+# once, from charring.
 __all__ = [
     "PrimeChar",
     "divisors",
@@ -20,6 +23,10 @@ __all__ = [
     "witt_bidegree",
     "witt_weight_count",
 ]
+
+
+class ConsistencyError(RuntimeError):
+    """A computed result contradicts a structural guarantee of the theory."""
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below the smallest
@@ -157,8 +164,9 @@ def witt_weight_count(r: int, i: int) -> int:
     """Number of Lyndon words of length r over two letters with i second letters.
 
     Moebius-weighted binomial sum over the common divisors of r and i (with
-    gcd(k, 0) = k); the division by the length r is exact.  The value at i
-    and at r - i agree, so these counts form a symmetric weight profile.
+    gcd(k, 0) = k); the division by the length r is exact, and checked: a
+    remainder raises ConsistencyError.  The value at i and at r - i agree,
+    so these counts form a symmetric weight profile.
     """
     if r < 1:
         raise ValueError(f"length must be positive, got {r}")
@@ -170,5 +178,6 @@ def witt_weight_count(r: int, i: int) -> int:
         if mu:
             acc += mu * math.comb(r // d, i // d)
     q, rem = divmod(acc, r)
-    assert rem == 0, "Witt sum must be divisible by the word length"
+    if rem:
+        raise ConsistencyError(f"Witt sum {acc} at r={r}, i={i} is not divisible by the word length {r}")
     return q

@@ -21,7 +21,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .charring import ConsistencyError, SymCharacter, weight_set
 from .modarith import PrimeChar
@@ -204,20 +204,12 @@ class Decomposition(_DecompositionFields):
         return sum(c * basis_char(self.basis, m, self.p).dim for m, c in self.entries.items())
 
 
-def _weyl_coordinates(chi: SymCharacter, r: int) -> dict[int, int]:
-    """chi as a sum of Weyl characters at r, r - 2, ..., >= 0: the Weyl character
-    at w has multiplicity one at w, w - 2, ..., so its coefficient is
-    mult(w) - mult(w + 2)."""
-    return {w: chi.multiplicity(w) - chi.multiplicity(w + 2) for w in range(r, -1, -2)}
-
-
-def _member_row(basis: Basis, m: int, p: PrimeChar) -> Iterable[tuple[int, int]]:
-    """The basis member at m in Weyl coordinates, as (weight, coefficient) pairs."""
-    if basis is Basis.DELTA:
-        return ((m, 1),)
-    if basis is Basis.TILTING:
-        return ((k, 1) for k in tilting_weyl_factors(m, p))
-    return _weyl_coordinates(char_simple(m, p), m).items()
+def _weyl_row(chi: SymCharacter, r: int) -> list[int]:
+    """chi as a sum of Weyl characters at the weights w = r % 2, ..., r - 2, r,
+    as a list indexed by w // 2: the Weyl character at w has multiplicity one
+    at w, w - 2, ..., so its coefficient is mult(w) - mult(w + 2)."""
+    mults = [chi.multiplicity(w) for w in range(r % 2, r + 3, 2)]
+    return [a - b for a, b in zip(mults, mults[1:])]
 
 
 def decompose(chi: SymCharacter, basis: Basis | str, r: int, p: int) -> Decomposition:
@@ -228,10 +220,11 @@ def decompose(chi: SymCharacter, basis: Basis | str, r: int, p: int) -> Decompos
     the parity of r and support inside [-r, r].  The basis may be given by
     its name; an unknown name raises ValueError.
 
-    One differencing pass puts chi in Weyl coordinates, and each elimination
-    step subtracts one basis member in the same coordinates: a single Weyl
-    factor, the Weyl factors of one tilting module, or a differenced simple
-    character.  The Weyl and tilting bases multiply no characters.
+    One differencing pass puts chi in Weyl coordinates, a list indexed by
+    w // 2, and each elimination step subtracts one basis member in the same
+    coordinates: a single Weyl factor, the Weyl factors of one tilting
+    module, or a differenced simple character.  The Weyl and tilting bases
+    multiply no characters.
     """
     basis = Basis(basis)
     p = PrimeChar(p)
@@ -242,15 +235,20 @@ def decompose(chi: SymCharacter, basis: Basis | str, r: int, p: int) -> Decompos
             raise ValueError("character parity does not match the degree")
         if chi.max_weight > r:
             raise ValueError("character support exceeds the degree")
-    residual = _weyl_coordinates(chi, r)
+    residual = _weyl_row(chi, r)
     entries: dict[int, int] = {}
-    for w in range(r, -1, -2):
-        c = residual[w]
+    for i in range(r // 2, -1, -1):
+        c = residual[i]
         if not c:
             continue
+        w = 2 * i + r % 2
         entries[w] = c
-        for u, k in _member_row(basis, w, p):
-            residual[u] -= c * k
+        if basis is Basis.SIMPLE:
+            for j, k in enumerate(_weyl_row(char_simple(w, p), w)):
+                residual[j] -= c * k
+        else:
+            for u in tilting_weyl_factors(w, p) if basis is Basis.TILTING else (w,):
+                residual[u // 2] -= c
     return Decomposition(basis, entries, r, int(p))
 
 

@@ -11,7 +11,9 @@ instead of run through Miller's recurrence, decompositions eliminate
 weight by weight instead of in Weyl coordinates, the coefficient sequence
 takes one binomial at a time instead of reading per-degree digit rows, and
 the character consistency check compares every weight instead of the least
-multiplicity in each band.
+multiplicity in each band, and a product of two characters sums over all
+signed weight pairs into a plain dict instead of calling SymCharacter's
+product.
 """
 
 from __future__ import annotations
@@ -109,6 +111,20 @@ def char_tilting_by_products(m: int, p: int) -> SymCharacter:
     b, a = divmod(m - (p - 1), p)
     second = char_weyl(p - 1 + a) + char_weyl(p - 1 - a) if a else char_weyl(p - 1)
     return char_tilting_by_products(b, p).scale_weights(p) * second
+
+
+def char_product_by_weights(a: SymCharacter, b: SymCharacter) -> SymCharacter:
+    """The product of two characters by a double loop over the signed weights
+    of both, into a fresh dict over all weights, negative ones included; no
+    SymCharacter ring operation is used."""
+    def signed(chi: SymCharacter) -> list[tuple[int, int]]:
+        return [(s * w, chi.multiplicity(w)) for w in chi.support for s in ((1, -1) if w else (1,))]
+
+    out: dict[int, int] = {}
+    for u, x in signed(a):
+        for v, y in signed(b):
+            out[u + v] = out.get(u + v, 0) + x * y
+    return SymCharacter(out)
 
 
 def stohr_character_by_products(s: int, t: int) -> SymCharacter:

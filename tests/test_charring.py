@@ -13,6 +13,7 @@ from lietilt.charring import (
     two_row_partitions,
     weight_set,
 )
+from oracles import char_product_by_weights
 
 
 def characters(parity: int, max_half: int = 10, max_mult: int = 4):
@@ -150,6 +151,25 @@ def test_multiplication_commutative_associative_distributive(data):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+def factors(parity: int):
+    """Strategy for one factor of a product: zero, one term, Delta(1) at odd
+    parity, or a random virtual character."""
+    one_term = st.builds(lambda w, c: SymCharacter({2 * w + parity: c}),
+                         st.integers(0, 10), st.integers(-4, 4).filter(bool))
+    special = [st.just(SymCharacter()), one_term]
+    if parity:
+        special.append(st.just(SymCharacter({1: 1})))
+    return st.one_of(*special, characters(parity))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_mul_matches_weight_pair_oracle(data):
+    a = data.draw(factors(data.draw(st.integers(0, 1))))
+    b = data.draw(factors(data.draw(st.integers(0, 1))))
+    assert a * b == char_product_by_weights(a, b)
 
 
 @settings(deadline=None, max_examples=60)

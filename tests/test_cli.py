@@ -280,6 +280,28 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     assert "verification failure" in capsys.readouterr().err
 
 
+def test_witt_remainder_exits_one(capsys, monkeypatch):
+    # A wrong Moebius value leaves a remainder in witt_weight_count(8, 0), which theorem-a reads.
+    monkeypatch.setattr("lietilt.modarith.mobius", lambda d: int(d == 1))
+    assert main(["theorem-a", "--r", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failure: ") and "r=8, i=0" in captured.err
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+
+
+def test_witt_remainder_exits_one_without_asserts():
+    # Under python -O every assert statement is gone; the check must not be one.
+    src = str(Path(lietilt.__file__).parents[1])
+    code = ("import sys, lietilt.modarith as m; m.mobius = lambda d: int(d == 1); "
+            "from lietilt.cli import main; sys.exit(main(['theorem-a', '--r', '8']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("verification failure: ") and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize(("argv", "stdout", "code"), [
     pytest.param(["decompose-tensor", "--p", "2"], os.devnull, 2, id="usage"),
     pytest.param(["gzeta", "--r", "7", "--p", "2"], os.devnull, 2, id="domain"),

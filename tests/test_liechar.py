@@ -21,7 +21,14 @@ from lietilt.liechar import (
 from lietilt.modarith import witt_weight_count
 from lietilt.tiltchar import Basis, char_tilting, char_weyl, decompose, tensor_power_decomp
 
-from oracles import free_lie_dim, lyndon_second_letter_counts, lyndon_weight_counts, stohr_character_by_products
+from oracles import (
+    char_tilting_by_products,
+    decompose_by_weight,
+    free_lie_dim,
+    lyndon_second_letter_counts,
+    lyndon_weight_counts,
+    stohr_character_by_products,
+)
 
 
 # -- Lie power characters ----------------------------------------------
@@ -183,6 +190,15 @@ def test_stohr_tilting_decomp_pattern():
                 lam = lambda_of(m, r)
                 assert lam.is_p_regular(2)
                 assert lam.lambda2 >= x.t
+
+
+def test_stohr_tilting_decomp_matches_weight_elimination():
+    def member(w):
+        return char_tilting_by_products(w, 2)
+
+    for r in range(4, 201):
+        for x in stohr_pairs(r):
+            assert stohr_tilting_decomp(x).entries == decompose_by_weight(x.character, member, r)
 
 
 def test_stohr_dimension_identity():

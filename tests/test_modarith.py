@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lietilt.modarith import (
+    ConsistencyError,
     PrimeChar,
     divisors,
     mobius,
@@ -145,6 +146,20 @@ def test_witt_weight_count_validates():
         witt_weight_count(0, 0)
     with pytest.raises(ValueError):
         witt_weight_count(3, 4)
+
+
+def test_witt_weight_count_checks_the_division(monkeypatch):
+    # With mu(d) = 0 for d > 1 the sum at (8, 0) is C(8, 0) = 1, which 8 does not divide.
+    monkeypatch.setattr("lietilt.modarith.mobius", lambda d: int(d == 1))
+    with pytest.raises(ConsistencyError, match=r"r=8, i=0"):
+        witt_weight_count(8, 0)
+
+
+def test_consistency_error_is_one_class():
+    import lietilt
+    import lietilt.charring
+
+    assert lietilt.ConsistencyError is lietilt.charring.ConsistencyError is ConsistencyError
 
 
 def test_witt_bidegree_known_values():

@@ -276,6 +276,7 @@ def test_weyl_and_tilting_decompose_multiply_nothing(monkeypatch):
 # -- Weyl coordinates against the product oracle (property-based) -------
 
 PRIMES = st.sampled_from((2, 3, 5, 7))
+BASES = st.sampled_from((Basis.DELTA, Basis.SIMPLE, Basis.TILTING))
 
 
 @settings(deadline=None, max_examples=60)
@@ -293,7 +294,7 @@ def _oracle_member(basis, p):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(1, 400), PRIMES, st.sampled_from((Basis.DELTA, Basis.SIMPLE, Basis.TILTING)))
+@given(st.integers(1, 400), PRIMES, BASES)
 def test_tensor_decompose_matches_weight_elimination(r, p, basis):
     chi = natural_power_char(r)
     assert decompose(chi, basis, r, p).entries == decompose_by_weight(chi, _oracle_member(basis, p), r)
@@ -302,7 +303,7 @@ def test_tensor_decompose_matches_weight_elimination(r, p, basis):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(1, 400), PRIMES, st.sampled_from((Basis.DELTA, Basis.SIMPLE, Basis.TILTING)))
+@given(st.integers(1, 400), PRIMES, BASES)
 def test_lie_decompose_matches_weight_elimination(r, p, basis):
     chi = char_lie_power(r)
     expected = decompose_by_weight(chi, _oracle_member(basis, p), r)
@@ -311,11 +312,20 @@ def test_lie_decompose_matches_weight_elimination(r, p, basis):
         assert lie_tilting_decomp(r, p).decomposition.entries == expected
 
 
+@settings(deadline=None, max_examples=80)
+@given(st.data(), st.integers(1, 400), PRIMES, BASES)
+def test_signed_decompose_matches_weight_elimination(data, r, p, basis):
+    # Random virtual characters: any sparse signed support inside [-r, r], zero included.
+    mults = data.draw(st.dictionaries(st.integers(0, r // 2), st.integers(-9, 9), max_size=12))
+    chi = SymCharacter({r - 2 * j: c for j, c in mults.items()})
+    assert decompose(chi, basis, r, p).entries == decompose_by_weight(chi, _oracle_member(basis, p), r)
+
+
 # -- tensor powers ------------------------------------------------------
 
 
 def test_natural_power_char_is_binomial():
-    for r in range(1, 21):
+    for r in range(1, 401):
         chi = natural_power_char(r)
         assert chi.dim == 2**r
         for i in range(0, r + 1):
