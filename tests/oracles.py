@@ -9,7 +9,7 @@ summands are built from products of characters instead of read off lists of
 Weyl factors or coefficient rows, powers of polynomials are multiplied out
 instead of run through Miller's recurrence, decompositions eliminate
 weight by weight instead of in Weyl coordinates, the coefficient sequence
-takes one binomial at a time instead of reading per-degree digit rows, and
+takes one binomial at a time instead of reading per-degree digit rows,
 the character consistency check compares every weight instead of the least
 multiplicity in each band, and a product of two characters sums over all
 signed weight pairs into a plain dict instead of calling SymCharacter's
