@@ -17,7 +17,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .modarith import ConsistencyError, PrimeChar
+from .modarith import ConsistencyError, prime_char
 
 __all__ = [
     "ConsistencyError",
@@ -175,7 +175,7 @@ class Partition2(_Partition2Fields):
 
     def is_p_regular(self, p: int) -> bool:
         """No part repeated p or more times; only p = 2 can fail on two rows."""
-        if int(PrimeChar(p)) == 2:
+        if prime_char(p) == 2:
             return self.lambda2 == 0 or self.lambda1 > self.lambda2
         return True
 

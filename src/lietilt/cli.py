@@ -21,7 +21,7 @@ import sys
 from .charring import ConsistencyError
 from .gzeta import gzeta_profile, theorem_b_predicate
 from .liechar import lie_tilting_decomp, stohr_pairs, stohr_tilting_decomp
-from .modarith import PrimeChar
+from .modarith import prime_char
 from .report import _theorem_a_rows, theorem_37_report, theorem_a_report, theorem_c_report
 from .tiltchar import tensor_power_decomp
 
@@ -45,7 +45,7 @@ R_MAX = 4096
 
 def _prime(text: str) -> int:
     try:
-        return int(PrimeChar(int(text)))
+        return prime_char(int(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -213,14 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tilting decompositions of tensor and Lie powers for SL(2) in prime characteristic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    common.add_argument("--out", default=None, help="write output to a file instead of stdout")
-
     for name, (help_text, p_mode, degrees, _) in COMMANDS.items():
-        sp = sub.add_parser(name, parents=[common], help=help_text)
+        sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(command_parser=sp)
+        # A report-all degree has no single csv row shape, so it renders json and pretty only.
+        formats = ("json", "pretty") if name == "report-all" else ("json", "csv", "pretty")
+        sp.add_argument("--format", choices=formats, default="json")
+        sp.add_argument("--out", default=None, help="write output to a file instead of stdout")
         if p_mode == "required":
             sp.add_argument("--p", type=_prime, required=True)
         elif p_mode == "default2":
@@ -270,12 +269,11 @@ def _csv_rows(payload: dict) -> tuple[list[str], list[list]]:
         return ["r", "p", "holds", "gzeta_dim"], [
             [payload["r"], payload["p"], _bool_str(payload["holds"]), "" if dim is None else dim]
         ]
-    if kind == "theorem-c":
-        return ["lambda1", "lambda2", "clause", "claimed", "char_consistent"], [
-            [row["lambda1"], row["lambda2"], row["clause"], _bool_str(row["claimed"]), _bool_str(row["char_consistent"])]
-            for row in payload["rows"]
-        ]
-    raise ValueError(f"csv output is not available for {kind}")
+    # theorem-c: report-all, the one other kind, gets no csv from the parser.
+    return ["lambda1", "lambda2", "clause", "claimed", "char_consistent"], [
+        [row["lambda1"], row["lambda2"], row["clause"], _bool_str(row["claimed"]), _bool_str(row["char_consistent"])]
+        for row in payload["rows"]
+    ]
 
 
 def render_csv(payload) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .modarith import PrimeChar
+from .modarith import prime_char
 from .tiltchar import is_weyl_simple
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
 
 def is_p_power(r: int, p: int) -> bool:
     """Whether r = p**m for some m >= 1."""
-    p = PrimeChar(p)
+    p = prime_char(p)
     if r < p:
         return False
     while r % p == 0:
@@ -38,9 +38,9 @@ def is_p_power(r: int, p: int) -> bool:
     return r == 1
 
 
-def _require_divisible(r: int, p: PrimeChar) -> None:
+def _require_divisible(r: int, p: int) -> None:
     if r < 1 or r % p:
-        raise ValueError(f"degree must be a positive multiple of {int(p)}, got {r}")
+        raise ValueError(f"degree must be a positive multiple of {p}, got {r}")
 
 
 def c_sequence(r: int, p: int) -> tuple[int, ...]:
@@ -54,25 +54,24 @@ def c_sequence(r: int, p: int) -> tuple[int, ...]:
     some j_i exceeds n_i.  The digits of n and their rows C(n_i, 0 .. n_i)
     mod p are found once per degree; each entry then walks the digits of j.
     """
-    p = PrimeChar(p)
+    p = prime_char(p)
     _require_divisible(r, p)
-    q = int(p)
     rows = []
     n = r - 1
     while n:
-        n, nd = divmod(n, q)
-        rows.append([math.comb(nd, k) % q for k in range(nd + 1)])
-    sign_odd = q - 1  # -1 mod p
+        n, nd = divmod(n, p)
+        rows.append([math.comb(nd, k) % p for k in range(nd + 1)])
+    sign_odd = p - 1  # -1 mod p
     out = []
     for j in range(r):
         c, k = 1, j
         for row in rows:
-            k, kd = divmod(k, q)
+            k, kd = divmod(k, p)
             if kd >= len(row):
                 c = 0
                 break
-            c = c * row[kd] % q
-        out.append(c * sign_odd % q if j % 2 else c)
+            c = c * row[kd] % p
+        out.append(c * sign_odd % p if j % 2 else c)
     return tuple(out)
 
 
@@ -121,9 +120,9 @@ class GZetaProfile(NamedTuple):
 
 def gzeta_profile(r: int, p: int) -> GZetaProfile:
     """Analyse every weight space of the near-top submodule at once."""
-    p = PrimeChar(p)
+    p = prime_char(p)
     cs = c_sequence(r, p)
-    return GZetaProfile(r, int(p), len(set(cs)) == 1, sum(cs) % p != 0)
+    return GZetaProfile(r, p, len(set(cs)) == 1, sum(cs) % p != 0)
 
 
 def weight_nonzero(r: int, p: int, v: int) -> bool:
@@ -149,7 +148,7 @@ def theorem_b_predicate(r: int, p: int) -> bool:
     near-top submodule has full dimension r - 1 (or r = p, where the
     summand is known directly).
     """
-    p = PrimeChar(p)
+    p = prime_char(p)
     if r < 2:
         raise ValueError(f"degree must be at least 2, got {r}")
     if r % p:
@@ -166,15 +165,15 @@ def metabelian_summand(r: int, p: int) -> bool:
     three cases: r = p (yes), and in characteristic 2 the degrees 4 (yes)
     and 8 (no); other prime-power degrees are rejected as undecided.
     """
-    p = PrimeChar(p)
+    p = prime_char(p)
     if r < 2:
         raise ValueError(f"degree must be at least 2, got {r}")
     if is_p_power(r, p):
-        if r == int(p):
+        if r == p:
             return True
-        if int(p) == 2 and r == 4:
+        if p == 2 and r == 4:
             return True
-        if int(p) == 2 and r == 8:
+        if p == 2 and r == 8:
             return False
-        raise ValueError(f"undecided for degree {r} = {int(p)}**m with m >= 2")
+        raise ValueError(f"undecided for degree {r} = {p}**m with m >= 2")
     return r == 2 or is_weyl_simple(r - 2, p)

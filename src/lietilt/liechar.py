@@ -15,7 +15,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .charring import ConsistencyError, Partition2, SymCharacter, weight_set
-from .modarith import PrimeChar, divisors, mobius, poly_power_row, witt_bidegree
+from .modarith import divisors, mobius, poly_power_row, prime_char, witt_bidegree
 from .tiltchar import Basis, Decomposition, char_weyl, decompose, tensor_power_decomp
 
 __all__ = [
@@ -39,47 +39,42 @@ def char_lie_power(r: int) -> SymCharacter:
     The multiplicity at weight r - 2i counts the Lyndon words of length r
     with i second letters, (1/r) * sum over d | gcd(r, i) of
     mobius(d) * C(r/d, i/d); the total dimension is the Witt necklace count
-    (1/r) * sum over d | r of mobius(d) * 2**(r/d).  Each d adds its binomial
-    row C(r/d, k) at i = k*d, and the division by r is exact and checked.
+    (1/r) * sum over d | r of mobius(d) * 2**(r/d).  This is lie_power_char
+    of the natural character x + 1/x, whose rows are binomial.
     """
-    if r < 1:
-        raise ValueError(f"degree must be positive, got {r}")
-    half = r // 2
-    acc = [0] * (half + 1)
-    for d in divisors(r):
-        mu = mobius(d)
-        if mu:
-            row = poly_power_row((1, 1), r // d, half // d + 1)
-            acc[::d] = [a + mu * c for a, c in zip(acc[::d], row)]
-    vals: dict[int, int] = {}
-    for i, a in enumerate(acc):
-        q, rem = divmod(a, r)
-        if rem:
-            raise ConsistencyError(f"necklace sum not divisible by {r} at weight {r - 2 * i}")
-        vals[r - 2 * i] = q
-    return SymCharacter(vals)
+    return lie_power_char(char_weyl(1), r)
 
 
 def lie_power_char(chi: SymCharacter, r: int) -> SymCharacter:
     """Character of the degree-r free Lie component on a module with character chi.
 
-    Moebius-weighted necklace sum over the weight-dilated powers of chi.
-    Valid in every characteristic because the Lyndon basis is integral; the
-    division by r is exact and checked.
+    Witt's necklace sum (1/r) * sum over d | r of mobius(d) * chi_d**(r/d),
+    where chi_d dilates the weights of chi by d.  Valid in every
+    characteristic because the Lyndon basis is integral.  Write chi as
+    x**top * P(y) with y = x**-2: chi_d**(r/d) is x**(r*top) times P(y**d)**(r/d),
+    so each squarefree d adds mobius(d) times the coefficient row of
+    P**(r/d) at every d-th power of y.  Only the powers up to the zero weight
+    are built, and the division by r is exact and checked.
     """
     if r < 1:
         raise ValueError(f"degree must be positive, got {r}")
-    acc = SymCharacter()
+    if chi.is_zero:
+        return SymCharacter()
+    top = chi.max_weight
+    coeffs = [chi.multiplicity(top - 2 * j) for j in range(top + 1)]
+    half = r * top // 2
+    acc = [0] * (half + 1)
     for d in divisors(r):
         mu = mobius(d)
         if mu:
-            acc = acc + (chi.scale_weights(d) ** (r // d)).scale(mu)
+            row = poly_power_row(coeffs, r // d, half // d + 1)
+            acc[::d] = [a + mu * c for a, c in zip(acc[::d], row)]
     vals: dict[int, int] = {}
-    for w in acc.support:
-        q, rem = divmod(acc.multiplicity(w), r)
+    for i, a in enumerate(acc):
+        q, rem = divmod(a, r)
         if rem:
-            raise ConsistencyError(f"necklace sum not divisible by {r} at weight {w}")
-        vals[w] = q
+            raise ConsistencyError(f"necklace sum not divisible by {r} at weight {r * top - 2 * i}")
+        vals[r * top - 2 * i] = q
     return SymCharacter(vals)
 
 
@@ -203,18 +198,18 @@ def lie_tilting_decomp(r: int, p: int) -> LieDecompReport:
     the Lie power is not tilting, while an all-non-negative answer decides
     nothing by itself.
     """
-    p = PrimeChar(p)
+    p = prime_char(p)
     chi = char_lie_power(r)
     dec = decompose(chi, Basis.TILTING, r, p)
     if r % p:
         if not dec.is_nonnegative:
-            raise ConsistencyError(f"negative tilting multiplicity at r={r}, p={int(p)} with p not dividing r")
+            raise ConsistencyError(f"negative tilting multiplicity at r={r}, p={p} with p not dividing r")
         verdict = Verdict.TILTING
     elif not dec.is_nonnegative:
         verdict = Verdict.NOT_TILTING_CERTIFIED
     else:
         verdict = Verdict.INCONCLUSIVE
-    return LieDecompReport(r, int(p), chi, dec, verdict)
+    return LieDecompReport(r, p, chi, dec, verdict)
 
 
 def l4_weyl2_composition_factors() -> Decomposition:

@@ -10,16 +10,17 @@ nothing here depends on the rest of the package.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Sequence
 
 # ConsistencyError is defined here, below every other module, and exported
 # once, from charring.
 __all__ = [
-    "PrimeChar",
     "divisors",
     "mobius",
     "poly_power_row",
+    "prime_char",
     "witt_bidegree",
     "witt_weight_count",
 ]
@@ -61,37 +62,35 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class PrimeChar(int):
-    """A field characteristic, validated to be prime at construction."""
+def prime_char(p: int) -> int:
+    """The field characteristic p as a plain int, checked to be a prime.
 
-    def __new__(cls, p: int) -> "PrimeChar":
-        if isinstance(p, PrimeChar):
-            return p
-        p = int(p)
-        if not _is_prime(p):
-            raise ValueError(f"characteristic must be a prime >= 2, got {p}")
-        return super().__new__(cls, p)
-
-    def __repr__(self) -> str:
-        return f"PrimeChar({int(self)})"
+    A non-integral p (3.7, 2.0, "3") raises TypeError rather than being
+    rounded; a composite or too-large one raises ValueError.
+    """
+    p = operator.index(p)
+    if not _is_prime(p):
+        raise ValueError(f"characteristic must be a prime >= 2, got {p}")
+    return p
 
 
 def poly_power_row(coeffs: Sequence[int], n: int, terms: int | None = None) -> list[int]:
     """Coefficients a_0, a_1, ... of P(y)**n, where P(y) = coeffs[0] +
-    coeffs[1]*y + ... + coeffs[e]*y**e has integer coefficients and P(0) = 1:
-    all n*e + 1 of them, or the first `terms` when that is smaller.
+    coeffs[1]*y + ... + coeffs[e]*y**e has integer coefficients and a nonzero
+    constant term: all n*e + 1 of them, or the first `terms` when that is
+    smaller.
 
     J. C. P. Miller's recurrence for the power of a power series (Knuth,
-    TAOCP vol. 2, section 4.7): a_0 = 1 and, for k >= 1,
-    k*a_k = sum over i = 1 .. e of ((n + 1)*i - k) * P_i * a_{k-i}.
-    Each division by k is exact for an integer polynomial, and checked: a
+    TAOCP vol. 2, section 4.7): a_0 = P_0**n and, for k >= 1,
+    k*P_0*a_k = sum over i = 1 .. e of ((n + 1)*i - k) * P_i * a_{k-i}.
+    Each division by k*P_0 is exact for an integer polynomial, and checked: a
     remainder raises ValueError.  (1 + y)**n gives the binomial row
     C(n, 0), ..., C(n, n) and (1 + y + y**2)**n the trinomial row.
     """
     if n < 0:
         raise ValueError(f"exponent must be non-negative, got {n}")
-    if not coeffs or coeffs[0] != 1:
-        raise ValueError(f"need a polynomial with constant term 1, got {list(coeffs)}")
+    if not coeffs or not coeffs[0]:
+        raise ValueError(f"need a polynomial with nonzero constant term, got {list(coeffs)}")
     last = n * (len(coeffs) - 1)
     if terms is not None:
         if terms < 1:
@@ -99,16 +98,17 @@ def poly_power_row(coeffs: Sequence[int], n: int, terms: int | None = None) -> l
         last = min(last, terms - 1)
     # ((n + 1)*i - k) * P_i = (n + 1)*i*P_i - k*P_i, over the nonzero P_i by ascending i.
     steps = [(i, (n + 1) * i * c, c) for i, c in enumerate(coeffs) if i and c]
-    row = [1]
+    p0 = coeffs[0]
+    row = [p0**n]
     for k in range(1, last + 1):
         acc = 0
         for i, fixed, c in steps:
             if i > k:
                 break
             acc += (fixed - k * c) * row[k - i]
-        a, rem = divmod(acc, k)
+        a, rem = divmod(acc, k * p0)
         if rem:
-            raise ValueError(f"coefficient {k} of P**{n} is not an integer: {acc}/{k}")
+            raise ValueError(f"coefficient {k} of P**{n} is not an integer: {acc}/{k * p0}")
         row.append(a)
     return row
 

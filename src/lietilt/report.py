@@ -26,7 +26,7 @@ from .liechar import (
     stohr_summand,
     stohr_tilting_decomp,
 )
-from .modarith import PrimeChar, witt_weight_count
+from .modarith import prime_char, witt_weight_count
 from .tiltchar import tilting_bands
 
 __all__ = [
@@ -124,10 +124,10 @@ def _char_consistent(mults: Sequence[int], m: int, p: int) -> bool:
     return all(min(mults[bottom // 2 : top // 2 + 1]) >= k for k, top, bottom in tilting_bands(m, p))
 
 
-def _theorem_c_clause(r: int, p: PrimeChar) -> tuple[TheoremCClause, int]:
+def _theorem_c_clause(r: int, p: int) -> tuple[TheoremCClause, int]:
     if is_p_power(r, p):
         if r <= p:
-            raise ValueError(f"degree must exceed {int(p)}, got {r}")
+            raise ValueError(f"degree must exceed {p}, got {r}")
         return (TheoremCClause.II if p == 3 else TheoremCClause.I), r
     if r % 2 == 0 and is_p_power(r // 2, p):
         if p == 3 and r == 6:
@@ -135,7 +135,7 @@ def _theorem_c_clause(r: int, p: PrimeChar) -> tuple[TheoremCClause, int]:
             # which occurs because 6 is not a power of 3.
             raise ValueError("degree must exceed 6 for p=3, got 6")
         return (TheoremCClause.IV if p == 3 else TheoremCClause.III), r // 2
-    raise ValueError(f"degree must be p**m or 2*p**m for p={int(p)}, got {r}")
+    raise ValueError(f"degree must be p**m or 2*p**m for p={p}, got {r}")
 
 
 def theorem_c_report(r: int, p: int) -> list[TheoremCRow]:
@@ -147,8 +147,8 @@ def theorem_c_report(r: int, p: int) -> list[TheoremCRow]:
     sequence engine, and every row carries the single-subtraction character
     consistency flag.
     """
-    p = PrimeChar(p)
-    if int(p) == 2:
+    p = prime_char(p)
+    if p == 2:
         raise ValueError("odd characteristic only")
     clause, pm = _theorem_c_clause(r, p)
     exceptions = {Partition2(r, 0)}
@@ -167,7 +167,7 @@ def theorem_c_report(r: int, p: int) -> list[TheoremCRow]:
     for lam in two_row_partitions(r):
         claimed = lam not in exceptions
         if lam.lambda2 == 1 and claimed != theorem_b_predicate(r, p):
-            raise ConsistencyError(f"near-top row disagrees with the coefficient-sequence engine at r={r}, p={int(p)}")
+            raise ConsistencyError(f"near-top row disagrees with the coefficient-sequence engine at r={r}, p={p}")
         rows.append(TheoremCRow(clause, lam, claimed, _char_consistent(mults, lam.weight, p)))
     return rows
 

@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
 from .charring import ConsistencyError, SymCharacter, weight_set
-from .modarith import PrimeChar
+from .modarith import prime_char
 
 __all__ = [
     "Basis",
@@ -65,7 +65,7 @@ def char_simple(m: int, p: int) -> SymCharacter:
     Product over the base-p digits d_i of m of the Weyl character of d_i
     with weights dilated by p**i; its dimension is the product of d_i + 1.
     """
-    p = PrimeChar(p)
+    p = prime_char(p)
     if m < 0:
         raise ValueError(f"highest weight must be non-negative, got {m}")
     out = char_weyl(0)
@@ -84,7 +84,7 @@ def is_weyl_simple(m: int, p: int) -> bool:
     True exactly for m = 0 and for m = a * p**k - 1 with 2 <= a <= p; in
     digit terms, m + 1 with the p-part stripped must be below p.
     """
-    p = PrimeChar(p)
+    p = prime_char(p)
     if m < 0:
         raise ValueError(f"highest weight must be non-negative, got {m}")
     u = m + 1
@@ -93,7 +93,7 @@ def is_weyl_simple(m: int, p: int) -> bool:
     return u < p
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def tilting_weyl_factors(m: int, p: int) -> tuple[int, ...]:
     """Highest weights of the Weyl factors of the tilting module T(m),
     descending and distinct: T(m) has a multiplicity-free Weyl filtration.
@@ -104,14 +104,15 @@ def tilting_weyl_factors(m: int, p: int) -> tuple[int, ...]:
     each factor n of T(b) contributes p*n + p - 1 + a and p*n + p - 1 - a
     (one factor, p*n + p - 1, when a = 0).
 
-    Memoized per (m, p) as a tuple, so no caller can change the table.
+    Memoized per (m, p) as a tuple, so no caller can change the table; the
+    key includes the argument types, so p = 2.0 is refused even once p = 2 is cached.
     """
-    p = PrimeChar(p)
+    p = prime_char(p)
     if m < 0:
         raise ValueError(f"highest weight must be non-negative, got {m}")
     if m <= p - 1:
         return (m,)
-    b, a = divmod(m - (p - 1), int(p))
+    b, a = divmod(m - (p - 1), p)
     shifts = (a, -a) if a else (0,)
     return tuple(p * n + p - 1 + s for n in tilting_weyl_factors(b, p) for s in shifts)
 
@@ -148,6 +149,7 @@ def basis_char(basis: Basis | str, m: int, p: int) -> SymCharacter:
     """The member of the given basis with highest weight m; the basis may be
     given by its name, and an unknown name raises ValueError."""
     basis = Basis(basis)
+    p = prime_char(p)
     if basis is Basis.DELTA:
         return char_weyl(m)
     if basis is Basis.SIMPLE:
@@ -227,7 +229,7 @@ def decompose(chi: SymCharacter, basis: Basis | str, r: int, p: int) -> Decompos
     multiply no characters.
     """
     basis = Basis(basis)
-    p = PrimeChar(p)
+    p = prime_char(p)
     if r < 1:
         raise ValueError(f"degree must be positive, got {r}")
     if not chi.is_zero:
@@ -249,7 +251,7 @@ def decompose(chi: SymCharacter, basis: Basis | str, r: int, p: int) -> Decompos
         else:
             for u in tilting_weyl_factors(w, p) if basis is Basis.TILTING else (w,):
                 residual[u // 2] -= c
-    return Decomposition(basis, entries, r, int(p))
+    return Decomposition(basis, entries, r, p)
 
 
 def natural_power_char(r: int) -> SymCharacter:
@@ -263,12 +265,12 @@ def natural_power_char(r: int) -> SymCharacter:
 def tensor_power_decomp(r: int, p: int) -> Decomposition:
     """Tilting multiplicities of the r-fold tensor power of the natural
     character; strictly positive on every positive weight of r's parity."""
-    p = PrimeChar(p)
+    p = prime_char(p)
     dec = decompose(natural_power_char(r), Basis.TILTING, r, p)
     # The tensor power is an actual tilting module, so the multiplicities are
     # genuine and every positive weight of matching parity must occur.
     if not dec.is_nonnegative or any(dec.coefficient(m) <= 0 for m in weight_set(r)):
-        raise ConsistencyError(f"tensor power decomposition violated positivity at r={r}, p={int(p)}")
+        raise ConsistencyError(f"tensor power decomposition violated positivity at r={r}, p={p}")
     return dec
 
 
@@ -280,12 +282,12 @@ def weyl_twist_identity(n: int, i: int, p: int) -> bool:
     plus the weight-dilated Weyl character at n times the simple character
     at i.  Returns whether the identity holds exactly.
     """
-    p = PrimeChar(p)
+    p = prime_char(p)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0 <= i <= p - 2:
         raise ValueError(f"need 0 <= i <= p - 2, got {i}")
     j = p - 2 - i
-    lhs = char_weyl(int(p) * n + i)
+    lhs = char_weyl(p * n + i)
     rhs = char_weyl(n - 1).scale_weights(p) * char_simple(j, p) + char_weyl(n).scale_weights(p) * char_simple(i, p)
     return lhs == rhs

@@ -13,7 +13,8 @@ takes one binomial at a time instead of reading per-degree digit rows,
 the character consistency check compares every weight instead of the least
 multiplicity in each band, and a product of two characters sums over all
 signed weight pairs into a plain dict instead of calling SymCharacter's
-product.
+product, and the Lie power of a character multiplies out its dilated
+powers instead of reading coefficient rows.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from lietilt.charring import SymCharacter
-from lietilt.modarith import PrimeChar
+from lietilt.modarith import prime_char
 from lietilt.tiltchar import char_weyl, tilting_multiplicities
 
 
@@ -133,6 +134,18 @@ def stohr_character_by_products(s: int, t: int) -> SymCharacter:
     return char_weyl(2) ** s * char_weyl(1) ** t
 
 
+def lie_power_char_by_products(chi: SymCharacter, r: int) -> SymCharacter:
+    """Witt's necklace sum (1/r) * sum over d | r of mobius(d) * chi_d**(r/d),
+    chi_d the weight-dilated character, by products of characters."""
+    mu = sieve_mobius(r)
+    acc = SymCharacter()
+    for d in divisors_of(r):
+        acc = acc + (chi.scale_weights(d) ** (r // d)).scale(mu[d])
+    if any(acc.multiplicity(w) % r for w in acc.support):
+        raise ValueError(f"necklace sum not divisible by {r}")
+    return SymCharacter({w: acc.multiplicity(w) // r for w in acc.support})
+
+
 def polynomial_power_by_products(coeffs: Sequence[int], n: int) -> list[int]:
     """Coefficients of P(y)**n by n schoolbook products from the constant 1."""
     out = [1]
@@ -184,7 +197,7 @@ def binom_mod(n: int, k: int, p: int) -> int:
     small binomials of corresponding digits, and it vanishes as soon as a
     digit of k exceeds the matching digit of n.  Out-of-range k gives 0.
     """
-    p = PrimeChar(p)
+    p = prime_char(p)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if k < 0 or k > n:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import lietilt.gzeta
+from lietilt import cli
 from lietilt.charring import ConsistencyError
 from lietilt.cli import main
 from lietilt.liechar import lie_tilting_decomp
@@ -186,8 +187,16 @@ def test_report_all_decomposes_each_lie_power_once(capsys, monkeypatch):
     assert decomposed == list(range(7, 13))
 
 
-def test_report_all_csv_rejected(capsys):
-    assert main(["report-all", "--r-min", "4", "--r-max", "5", "--format", "csv"]) == 2
+def test_report_all_csv_rejected(monkeypatch, capsys):
+    # The parser refuses it, so no degree's payload is built first.
+    built = []
+    help_text, p_mode, degrees, _ = cli.COMMANDS["report-all"]
+    monkeypatch.setitem(cli.COMMANDS, "report-all", (help_text, p_mode, degrees, lambda r, p: built.append(r)))
+    assert main(["report-all", "--r-min", "7", "--r-max", "200", "--format", "csv"]) == 2
+    assert built == []
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lietilt report-all ")
+    assert "argument --format: invalid choice: 'csv'" in err
 
 
 # -- output destination -------------------------------------------------

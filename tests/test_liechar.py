@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lietilt import liechar
@@ -25,6 +25,7 @@ from oracles import (
     char_tilting_by_products,
     decompose_by_weight,
     free_lie_dim,
+    lie_power_char_by_products,
     lyndon_second_letter_counts,
     lyndon_weight_counts,
     stohr_character_by_products,
@@ -96,6 +97,23 @@ def test_lie_power_char_dim_three_letters():
     chi = SymCharacter({2: 1, 0: 1})
     for r in range(1, 9):
         assert lie_power_char(chi, r).dim == free_lie_dim(3, r)
+
+
+# Virtual characters of either parity with weights up to 8 and signed multiplicities.
+virtual_chars = st.integers(0, 1).flatmap(
+    lambda parity: st.dictionaries(st.integers(0, 4).map(lambda k: 2 * k + parity), st.integers(-3, 3), max_size=4)
+).map(SymCharacter)
+
+
+@settings(deadline=None, max_examples=300)
+@given(virtual_chars, st.integers(1, 10))
+@example(SymCharacter({1: 2}), 10)
+@example(SymCharacter({2: -3, 0: 1}), 10)
+@example(SymCharacter({2: -3, 0: 1}), 9)
+@example(SymCharacter({0: 5}), 6)
+@example(SymCharacter(), 4)
+def test_lie_power_char_matches_product_oracle(chi, r):
+    assert lie_power_char(chi, r) == lie_power_char_by_products(chi, r)
 
 
 def test_lie_power_char_validates():

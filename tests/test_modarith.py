@@ -7,14 +7,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lietilt.charring import Partition2
+from lietilt.gzeta import (
+    c_sequence,
+    gzeta_dim,
+    gzeta_profile,
+    is_p_power,
+    metabelian_summand,
+    theorem_b_predicate,
+    weight_nonzero,
+)
+from lietilt.liechar import lie_tilting_decomp
 from lietilt.modarith import (
     ConsistencyError,
-    PrimeChar,
     divisors,
     mobius,
     poly_power_row,
+    prime_char,
     witt_bidegree,
     witt_weight_count,
+)
+from lietilt.report import theorem_c_report
+from lietilt.tiltchar import (
+    Basis,
+    basis_char,
+    char_simple,
+    char_tilting,
+    char_weyl,
+    decompose,
+    is_weyl_simple,
+    tensor_power_decomp,
+    tilting_bands,
+    tilting_multiplicities,
+    tilting_weyl_factors,
+    weyl_twist_identity,
 )
 from oracles import (
     binom_mod,
@@ -29,7 +55,8 @@ from oracles import (
 
 def test_primechar_accepts_primes():
     for p in (2, 3, 5, 7, 11, 97, 101, 10**18 + 3):
-        assert int(PrimeChar(p)) == p
+        q = prime_char(p)
+        assert q == p and type(q) is int
 
 
 # 561 is a Carmichael number, 3215031751 a strong pseudoprime to bases 2, 3, 5
@@ -37,14 +64,14 @@ def test_primechar_accepts_primes():
 @pytest.mark.parametrize("bad", [-3, 0, 1, 4, 6, 9, 15, 100, 561, 3215031751, 318665857834031151167461])
 def test_primechar_rejects_nonprimes(bad):
     with pytest.raises(ValueError):
-        PrimeChar(bad)
+        prime_char(bad)
 
 
 def test_primechar_matches_sieve():
     primes = set(sieve_primes(10**4))
     for n in range(10**4):
         try:
-            PrimeChar(n)
+            prime_char(n)
         except ValueError:
             assert n not in primes
         else:
@@ -53,12 +80,46 @@ def test_primechar_matches_sieve():
 
 def test_primechar_refuses_primes_beyond_exact_range():
     with pytest.raises(ValueError, match="below"):
-        PrimeChar(2**89 - 1)  # a Mersenne prime
+        prime_char(2**89 - 1)  # a Mersenne prime
 
 
 def test_primechar_idempotent():
-    p = PrimeChar(5)
-    assert PrimeChar(p) is p
+    p = prime_char(5)
+    assert prime_char(p) is p
+
+
+# Every public function that takes a characteristic, called with p in its place.
+TAKES_P = {
+    "decompose": lambda p: decompose(char_weyl(2), Basis.TILTING, 2, p),
+    "tensor_power_decomp": lambda p: tensor_power_decomp(6, p),
+    "char_simple": lambda p: char_simple(5, p),
+    "is_weyl_simple": lambda p: is_weyl_simple(5, p),
+    "tilting_weyl_factors": lambda p: tilting_weyl_factors(6, p),
+    "tilting_bands": lambda p: tilting_bands(6, p),
+    "tilting_multiplicities": lambda p: tilting_multiplicities(6, p),
+    "char_tilting": lambda p: char_tilting(6, p),
+    "basis_char": lambda p: basis_char(Basis.DELTA, 3, p),
+    "weyl_twist_identity": lambda p: weyl_twist_identity(2, 0, p),
+    "gzeta_profile": lambda p: gzeta_profile(6, p),
+    "gzeta_dim": lambda p: gzeta_dim(6, p),
+    "weight_nonzero": lambda p: weight_nonzero(6, p, 1),
+    "c_sequence": lambda p: c_sequence(6, p),
+    "theorem_b_predicate": lambda p: theorem_b_predicate(6, p),
+    "metabelian_summand": lambda p: metabelian_summand(6, p),
+    "theorem_c_report": lambda p: theorem_c_report(9, p),
+    "lie_tilting_decomp": lambda p: lie_tilting_decomp(6, p),
+    "is_p_power": lambda p: is_p_power(8, p),
+    "Partition2.is_p_regular": lambda p: Partition2(3, 3).is_p_regular(p),
+}
+
+
+@pytest.mark.parametrize("p", [3.7, 2.0, "3"])
+@pytest.mark.parametrize("name", list(TAKES_P))
+def test_non_integral_p_refused(name, p):
+    # A memoized answer for the integral p must not let an equal float through.
+    assert tilting_weyl_factors(6, 2) == (6, 4, 2, 0)
+    with pytest.raises((TypeError, ValueError)):
+        TAKES_P[name](p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
@@ -214,9 +275,9 @@ def test_poly_power_row_trinomial_known():
 
 
 @settings(deadline=None, max_examples=80)
-@given(st.lists(st.integers(-6, 6), max_size=5), st.integers(0, 40), st.integers(1, 250))
-def test_poly_power_row_matches_repeated_products(tail, n, terms):
-    coeffs = [1] + tail
+@given(st.integers().filter(bool), st.lists(st.integers(-6, 6), max_size=5), st.integers(0, 40), st.integers(1, 250))
+def test_poly_power_row_matches_repeated_products(head, tail, n, terms):
+    coeffs = [head] + tail
     full = polynomial_power_by_products(coeffs, n)
     assert poly_power_row(coeffs, n) == full
     assert poly_power_row(coeffs, n, terms) == full[:terms]
@@ -228,7 +289,7 @@ def test_poly_power_row_validates():
     with pytest.raises(ValueError):
         poly_power_row((), 3)
     with pytest.raises(ValueError):
-        poly_power_row((2, 1), 3)
+        poly_power_row((0, 1), 3)
     with pytest.raises(ValueError):
         poly_power_row((1, 1), 3, 0)
 
