@@ -14,8 +14,9 @@ characters from different degrees were combined by mistake.
 
 from __future__ import annotations
 
+import operator
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .modarith import ConsistencyError, prime_char
 
@@ -73,12 +74,6 @@ class SymCharacter:
     def is_zero(self) -> bool:
         return not self._m
 
-    def _signed_items(self) -> Iterator[tuple[int, int]]:
-        for w, c in self._m.items():
-            yield w, c
-            if w:
-                yield -w, c
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "SymCharacter") -> "SymCharacter":
@@ -101,13 +96,19 @@ class SymCharacter:
     def __mul__(self, other: "SymCharacter") -> "SymCharacter":
         if not isinstance(other, SymCharacter):
             return NotImplemented
+        # Pair the stored weights orbit by orbit: for u, v > 0,
+        # (x^u + x^-u)(x^v + x^-v) is the orbit of u + v plus the orbit of
+        # |u - v|, which is 2 at weight 0 when u = v.  The orbit of 0 is 1.
         out: dict[int, int] = {}
-        right = list(other._signed_items())
-        for u, a in self._signed_items():
+        get = out.get
+        right = list(other._m.items())
+        for u, a in self._m.items():
             for v, b in right:
-                w = u + v
-                if w >= 0:
-                    out[w] = out.get(w, 0) + a * b
+                ab = a * b
+                out[u + v] = get(u + v, 0) + ab
+                if u and v:
+                    d = u - v if u > v else v - u
+                    out[d] = get(d, 0) + (ab if d else ab + ab)
         return SymCharacter(out)
 
     def __pow__(self, k: int) -> "SymCharacter":
@@ -182,6 +183,7 @@ class Partition2(_Partition2Fields):
 
 def lambda_of(m: int, r: int) -> Partition2:
     """The unique two-row partition of r with row difference m."""
+    m, r = operator.index(m), operator.index(r)
     if m < 0 or m > r or (r - m) % 2:
         raise ValueError(f"no two-row partition of {r} has row difference {m}")
     return Partition2((r + m) // 2, (r - m) // 2)
@@ -193,6 +195,7 @@ def weight_set(r: int) -> tuple[int, ...]:
     These are the row differences of the two-row partitions of r with
     distinct rows; there are ceil(r / 2) of them.
     """
+    r = operator.index(r)
     if r < 1:
         raise ValueError(f"degree must be positive, got {r}")
     return tuple(range(r, 0, -2))

@@ -39,7 +39,7 @@ PROVENANCE = {
 }
 
 # Largest degree any --r, --r-min or --r-max accepts.  Work grows fast with r:
-# decompose-tensor --r 4096 --p 2 alone takes about 7 s (Intel Xeon, CPython 3.11).
+# decompose-tensor --r 4096 --p 2 alone takes about 4 s (Intel Xeon, CPython 3.11).
 R_MAX = 4096
 
 

@@ -11,6 +11,7 @@ module, which in turn decides whether the near-top tilting summand occurs.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from .modarith import prime_char
@@ -31,6 +32,7 @@ __all__ = [
 def is_p_power(r: int, p: int) -> bool:
     """Whether r = p**m for some m >= 1."""
     p = prime_char(p)
+    r = operator.index(r)
     if r < p:
         return False
     while r % p == 0:
@@ -55,6 +57,7 @@ def c_sequence(r: int, p: int) -> tuple[int, ...]:
     mod p are found once per degree; each entry then walks the digits of j.
     """
     p = prime_char(p)
+    r = operator.index(r)
     _require_divisible(r, p)
     rows = []
     n = r - 1
@@ -121,6 +124,7 @@ class GZetaProfile(NamedTuple):
 def gzeta_profile(r: int, p: int) -> GZetaProfile:
     """Analyse every weight space of the near-top submodule at once."""
     p = prime_char(p)
+    r = operator.index(r)
     cs = c_sequence(r, p)
     return GZetaProfile(r, p, len(set(cs)) == 1, sum(cs) % p != 0)
 
@@ -149,6 +153,7 @@ def theorem_b_predicate(r: int, p: int) -> bool:
     summand is known directly).
     """
     p = prime_char(p)
+    r = operator.index(r)
     if r < 2:
         raise ValueError(f"degree must be at least 2, got {r}")
     if r % p:
@@ -166,6 +171,7 @@ def metabelian_summand(r: int, p: int) -> bool:
     and 8 (no); other prime-power degrees are rejected as undecided.
     """
     p = prime_char(p)
+    r = operator.index(r)
     if r < 2:
         raise ValueError(f"degree must be at least 2, got {r}")
     if is_p_power(r, p):

@@ -11,6 +11,7 @@ for tilting multiplicities.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from typing import NamedTuple
 
@@ -56,6 +57,7 @@ def lie_power_char(chi: SymCharacter, r: int) -> SymCharacter:
     P**(r/d) at every d-th power of y.  Only the powers up to the zero weight
     are built, and the division by r is exact and checked.
     """
+    r = operator.index(r)
     if r < 1:
         raise ValueError(f"degree must be positive, got {r}")
     if chi.is_zero:
@@ -199,6 +201,7 @@ def lie_tilting_decomp(r: int, p: int) -> LieDecompReport:
     nothing by itself.
     """
     p = prime_char(p)
+    r = operator.index(r)
     chi = char_lie_power(r)
     dec = decompose(chi, Basis.TILTING, r, p)
     if r % p:

@@ -13,6 +13,7 @@ Three sweeps, one per classification result carried by the CLI:
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -148,6 +149,7 @@ def theorem_c_report(r: int, p: int) -> list[TheoremCRow]:
     consistency flag.
     """
     p = prime_char(p)
+    r = operator.index(r)
     if p == 2:
         raise ValueError("odd characteristic only")
     clause, pm = _theorem_c_clause(r, p)

@@ -18,6 +18,7 @@ coordinates, so all three bases share one elimination.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
@@ -54,6 +55,7 @@ class Basis(str, Enum):
 
 def char_weyl(m: int) -> SymCharacter:
     """Weyl character of highest weight m: weights m, m - 2, ..., -m, all once."""
+    m = operator.index(m)
     if m < 0:
         raise ValueError(f"highest weight must be non-negative, got {m}")
     return SymCharacter({w: 1 for w in range(m, -1, -2)})
@@ -66,6 +68,7 @@ def char_simple(m: int, p: int) -> SymCharacter:
     with weights dilated by p**i; its dimension is the product of d_i + 1.
     """
     p = prime_char(p)
+    m = operator.index(m)
     if m < 0:
         raise ValueError(f"highest weight must be non-negative, got {m}")
     out = char_weyl(0)
@@ -85,6 +88,7 @@ def is_weyl_simple(m: int, p: int) -> bool:
     digit terms, m + 1 with the p-part stripped must be below p.
     """
     p = prime_char(p)
+    m = operator.index(m)
     if m < 0:
         raise ValueError(f"highest weight must be non-negative, got {m}")
     u = m + 1
@@ -105,9 +109,11 @@ def tilting_weyl_factors(m: int, p: int) -> tuple[int, ...]:
     (one factor, p*n + p - 1, when a = 0).
 
     Memoized per (m, p) as a tuple, so no caller can change the table; the
-    key includes the argument types, so p = 2.0 is refused even once p = 2 is cached.
+    key includes the argument types, so m = 6.0 or p = 2.0 is refused even
+    once (6, 2) is cached, and a cache hit repeats no check.
     """
     p = prime_char(p)
+    m = operator.index(m)
     if m < 0:
         raise ValueError(f"highest weight must be non-negative, got {m}")
     if m <= p - 1:
@@ -150,6 +156,7 @@ def basis_char(basis: Basis | str, m: int, p: int) -> SymCharacter:
     given by its name, and an unknown name raises ValueError."""
     basis = Basis(basis)
     p = prime_char(p)
+    m = operator.index(m)
     if basis is Basis.DELTA:
         return char_weyl(m)
     if basis is Basis.SIMPLE:
@@ -230,6 +237,7 @@ def decompose(chi: SymCharacter, basis: Basis | str, r: int, p: int) -> Decompos
     """
     basis = Basis(basis)
     p = prime_char(p)
+    r = operator.index(r)
     if r < 1:
         raise ValueError(f"degree must be positive, got {r}")
     if not chi.is_zero:
@@ -257,6 +265,7 @@ def decompose(chi: SymCharacter, basis: Basis | str, r: int, p: int) -> Decompos
 def natural_power_char(r: int) -> SymCharacter:
     """Character of the r-fold tensor power of the natural two-dimensional
     character: binomial weight multiplicities with total 2**r."""
+    r = operator.index(r)
     if r < 1:
         raise ValueError(f"tensor degree must be positive, got {r}")
     return char_weyl(1) ** r
@@ -266,6 +275,7 @@ def tensor_power_decomp(r: int, p: int) -> Decomposition:
     """Tilting multiplicities of the r-fold tensor power of the natural
     character; strictly positive on every positive weight of r's parity."""
     p = prime_char(p)
+    r = operator.index(r)
     dec = decompose(natural_power_char(r), Basis.TILTING, r, p)
     # The tensor power is an actual tilting module, so the multiplicities are
     # genuine and every positive weight of matching parity must occur.
@@ -283,6 +293,7 @@ def weyl_twist_identity(n: int, i: int, p: int) -> bool:
     at i.  Returns whether the identity holds exactly.
     """
     p = prime_char(p)
+    n, i = operator.index(n), operator.index(i)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0 <= i <= p - 2:

@@ -13,6 +13,7 @@ from lietilt.charring import (
     two_row_partitions,
     weight_set,
 )
+from lietilt.tiltchar import char_simple, char_tilting
 from oracles import char_product_by_weights
 
 
@@ -170,6 +171,22 @@ def test_mul_matches_weight_pair_oracle(data):
     a = data.draw(factors(data.draw(st.integers(0, 1))))
     b = data.draw(factors(data.draw(st.integers(0, 1))))
     assert a * b == char_product_by_weights(a, b)
+
+
+# Tilting and simple characters repeat multiplicities over long runs of
+# weights, so many weight pairs of a product collide, and in a square every
+# pair u = v lands on weight 0.
+module_characters = st.builds(
+    lambda basis_member, m, p: basis_member(m, p),
+    st.sampled_from([char_tilting, char_simple]), st.integers(0, 60), st.sampled_from([2, 3, 5, 7]),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(module_characters, module_characters)
+def test_mul_matches_weight_pair_oracle_on_module_characters(a, b):
+    assert a * b == char_product_by_weights(a, b)
+    assert a * a == char_product_by_weights(a, a)
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -56,6 +57,22 @@ def test_pretty_tensor(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "r=3 p=2 tensor-power (tilting basis)"
     assert out.endswith("\n")
+
+
+# sha256 of the stdout of larger runs, recorded before the character product
+# was rewritten orbit by orbit.
+GOLDEN_SHA256 = {
+    "decompose-tensor --r 1150 --p 5": "efeee86daac8a93d164dd3ff6deef400600db4da0c4395e9a984fef6e14e1152",
+    "report-all --r-min 7 --r-max 120 --p 3": "d49bcb07e1822bae3e6ceb6864b3a9fcce04812c3cc1d28f4365db973f176288",
+    "stohr --r 300": "13b8dc800174c2d7a69162e9c137379c3acfe6a600fe3d0f9561bcb2352dca0a",
+    "theorem-a --r-min 7 --r-max 60 --format pretty": "f38951aaef2ab2e75dde875b080b1c24ef47eef9e08eb4be334dd63c7326b2bf",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SHA256))
+def test_golden_sha256_large(argv, capsys):
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_SHA256[argv]
 
 
 # -- per-command payloads ----------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lietilt.charring import Partition2
+from lietilt.charring import Partition2, lambda_of, weight_set
 from lietilt.gzeta import (
     c_sequence,
     gzeta_dim,
@@ -17,7 +17,7 @@ from lietilt.gzeta import (
     theorem_b_predicate,
     weight_nonzero,
 )
-from lietilt.liechar import lie_tilting_decomp
+from lietilt.liechar import char_lie_power, lie_power_char, lie_tilting_decomp
 from lietilt.modarith import (
     ConsistencyError,
     divisors,
@@ -36,6 +36,7 @@ from lietilt.tiltchar import (
     char_weyl,
     decompose,
     is_weyl_simple,
+    natural_power_char,
     tensor_power_decomp,
     tilting_bands,
     tilting_multiplicities,
@@ -120,6 +121,49 @@ def test_non_integral_p_refused(name, p):
     assert tilting_weyl_factors(6, 2) == (6, 4, 2, 0)
     with pytest.raises((TypeError, ValueError)):
         TAKES_P[name](p)
+
+
+# Every public function that takes a highest weight or a degree, called with n
+# in its place; each call is valid for n = 9.
+TAKES_DEGREE = {
+    "char_weyl": lambda n: char_weyl(n),
+    "char_simple": lambda n: char_simple(n, 3),
+    "is_weyl_simple": lambda n: is_weyl_simple(n, 3),
+    "tilting_weyl_factors": lambda n: tilting_weyl_factors(n, 2),
+    "tilting_bands": lambda n: tilting_bands(n, 2),
+    "tilting_multiplicities": lambda n: tilting_multiplicities(n, 2),
+    "char_tilting": lambda n: char_tilting(n, 2),
+    "basis_char": lambda n: basis_char(Basis.TILTING, n, 2),
+    "decompose": lambda n: decompose(char_weyl(9), Basis.TILTING, n, 3),
+    "natural_power_char": lambda n: natural_power_char(n),
+    "tensor_power_decomp": lambda n: tensor_power_decomp(n, 3),
+    "weyl_twist_identity n": lambda n: weyl_twist_identity(n, 0, 3),
+    "weyl_twist_identity i": lambda n: weyl_twist_identity(2, n, 11),
+    "lambda_of m": lambda n: lambda_of(n, 11),
+    "lambda_of r": lambda n: lambda_of(1, n),
+    "weight_set": lambda n: weight_set(n),
+    "char_lie_power": lambda n: char_lie_power(n),
+    "lie_power_char": lambda n: lie_power_char(char_weyl(2), n),
+    "is_p_power": lambda n: is_p_power(n, 3),
+    "c_sequence": lambda n: c_sequence(n, 3),
+    "gzeta_profile": lambda n: gzeta_profile(n, 3),
+    "gzeta_dim": lambda n: gzeta_dim(n, 3),
+    "weight_nonzero": lambda n: weight_nonzero(n, 3, 1),
+    "theorem_b_predicate": lambda n: theorem_b_predicate(n, 3),
+    "metabelian_summand": lambda n: metabelian_summand(n, 2),
+    "theorem_c_report": lambda n: theorem_c_report(n, 3),
+    "lie_tilting_decomp": lambda n: lie_tilting_decomp(n, 3),
+}
+
+
+@pytest.mark.parametrize("n", [6.5, 4.0, "4"])
+@pytest.mark.parametrize("name", list(TAKES_DEGREE))
+def test_non_integral_degree_refused(name, n):
+    TAKES_DEGREE[name](9)
+    # A memoized answer for the integral weight must not let an equal float through.
+    assert tilting_weyl_factors(4, 2) == (4, 2)
+    with pytest.raises(TypeError):
+        TAKES_DEGREE[name](n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
