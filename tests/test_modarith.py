@@ -126,7 +126,7 @@ def test_non_integral_p_refused(name, p):
 # Every public function that takes a highest weight or a degree, called with n
 # in its place; each call is valid for n = 9.
 TAKES_DEGREE = {
-    "char_weyl": lambda n: char_weyl(n),
+    "char_weyl": char_weyl,
     "char_simple": lambda n: char_simple(n, 3),
     "is_weyl_simple": lambda n: is_weyl_simple(n, 3),
     "tilting_weyl_factors": lambda n: tilting_weyl_factors(n, 2),
@@ -135,14 +135,14 @@ TAKES_DEGREE = {
     "char_tilting": lambda n: char_tilting(n, 2),
     "basis_char": lambda n: basis_char(Basis.TILTING, n, 2),
     "decompose": lambda n: decompose(char_weyl(9), Basis.TILTING, n, 3),
-    "natural_power_char": lambda n: natural_power_char(n),
+    "natural_power_char": natural_power_char,
     "tensor_power_decomp": lambda n: tensor_power_decomp(n, 3),
     "weyl_twist_identity n": lambda n: weyl_twist_identity(n, 0, 3),
     "weyl_twist_identity i": lambda n: weyl_twist_identity(2, n, 11),
     "lambda_of m": lambda n: lambda_of(n, 11),
     "lambda_of r": lambda n: lambda_of(1, n),
-    "weight_set": lambda n: weight_set(n),
-    "char_lie_power": lambda n: char_lie_power(n),
+    "weight_set": weight_set,
+    "char_lie_power": char_lie_power,
     "lie_power_char": lambda n: lie_power_char(char_weyl(2), n),
     "is_p_power": lambda n: is_p_power(n, 3),
     "c_sequence": lambda n: c_sequence(n, 3),
