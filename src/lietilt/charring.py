@@ -1,22 +1,25 @@
 """The symmetric character ring of SL(2).
 
 A character is a finitely supported integer multiplicity function on the
-weight lattice, symmetric under negation.  It is stored sparsely over the
-non-negative weights; the negative side is implied.  Multiplicities may be
-negative so that virtual characters (differences of genuine ones) can be
-represented; callers that model actual modules check non-negativity where
-they need it.
+weight lattice, symmetric under negation.  All its weights share one parity,
+so it is x**top * P(y) with y = x**-2, and it is stored as top and one dense
+row: the multiplicities at top, top - 2, ..., top % 2, the negative side
+implied.  Memory therefore grows with the top weight, not with the support.
+Multiplicities may be negative so that virtual characters (differences of
+genuine ones) can be represented; callers that model actual modules check
+non-negativity where they need it.
 
-All weights in one character share a single parity.  Mixing parities in a
-sum is a hard error rather than a silent union: it always indicates that two
-characters from different degrees were combined by mistake.
+Mixing parities in a sum is a hard error rather than a silent union: it
+always indicates that two characters from different degrees were combined by
+mistake.  A product pairs the two rows orbit by orbit.  Other modules build
+and read characters through SymCharacter.from_row and SymCharacter.row.
 """
 
 from __future__ import annotations
 
 import operator
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .modarith import ConsistencyError, prime_char
 
@@ -31,58 +34,77 @@ __all__ = [
 
 
 class SymCharacter:
-    """An integer weight-multiplicity function, symmetric under negation."""
+    """An integer weight-multiplicity function, symmetric under negation,
+    held as its top weight and row; the row of the zero character is empty."""
 
-    __slots__ = ("_m",)
+    __slots__ = ("_top", "_row")
 
     def __init__(self, multiplicities: Mapping[int, int] = MappingProxyType({})):
         half: dict[int, int] = {}
         for w, c in multiplicities.items():
-            if half.setdefault(abs(w), c) != c:
-                raise ValueError(f"asymmetric multiplicities at weights +-{abs(w)}")
-        half = {w: c for w, c in half.items() if c}
-        if len({w & 1 for w in half}) > 1:
+            w, c = abs(operator.index(w)), operator.index(c)
+            if half.setdefault(w, c) != c:
+                raise ValueError(f"asymmetric multiplicities at weights +-{w}")
+        if len({w & 1 for w, c in half.items() if c}) > 1:
             raise ValueError("weights of mixed parity in one character")
-        self._m = half
+        top = max((w for w, c in half.items() if c), default=None)
+        self._top, self._row = top, () if top is None else tuple(half.get(w, 0) for w in range(top, -1, -2))
+
+    @classmethod
+    def from_row(cls, top: int, row: Iterable[int]) -> SymCharacter:
+        """The character with multiplicity row[j] at the weights +-(top - 2j),
+        j = 0 .. top // 2; leading zeros lower the top weight."""
+        top, row = operator.index(top), tuple(map(operator.index, row))
+        if top < 0 or len(row) != top // 2 + 1:
+            raise ValueError(f"need top >= 0 and top // 2 + 1 entries, got top {top} with {len(row)}")
+        return _trimmed(top, row)
 
     # -- queries ---------------------------------------------------------
 
+    @property
+    def row(self) -> tuple[int, ...]:
+        """Multiplicities at max_weight, max_weight - 2, ..., max_weight % 2."""
+        return self._row
+
     def multiplicity(self, w: int) -> int:
-        return self._m.get(abs(w), 0)
+        j, odd = divmod(self._top - abs(w), 2) if self._row else (-1, 0)
+        return 0 if odd or j < 0 else self._row[j]
 
     @property
     def support(self) -> tuple[int, ...]:
         """Non-negative weights with nonzero multiplicity, descending."""
-        return tuple(sorted(self._m, reverse=True))
+        return tuple(self._top - 2 * j for j, c in enumerate(self._row) if c)
 
     @property
     def max_weight(self) -> int | None:
-        return max(self._m) if self._m else None
+        return self._top
 
     @property
     def parity(self) -> int | None:
-        for w in self._m:
-            return w & 1
-        return None
+        return None if self._top is None else self._top & 1
 
     @property
     def dim(self) -> int:
         """Signed total of all multiplicities, negative weights included."""
-        return self._m.get(0, 0) + 2 * sum(c for w, c in self._m.items() if w > 0)
+        return 2 * sum(self._row) - self.multiplicity(0)
 
     @property
     def is_zero(self) -> bool:
-        return not self._m
+        return not self._row
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "SymCharacter") -> "SymCharacter":
         if not isinstance(other, SymCharacter):
             return NotImplemented
-        merged = dict(self._m)
-        for w, c in other._m.items():
-            merged[w] = merged.get(w, 0) + c
-        return SymCharacter(merged)
+        if not self._row or not other._row:
+            return self if other.is_zero else other
+        if (self._top ^ other._top) & 1:
+            raise ValueError("weights of mixed parity in one character")
+        # Rows end at the weight of their parity, so they align at the end.
+        hi, lo = (self._row, other._row) if self._top >= other._top else (other._row, self._row)
+        lead = len(hi) - len(lo)
+        return _trimmed(max(self._top, other._top), hi[:lead] + tuple(map(operator.add, hi[lead:], lo)))
 
     def __sub__(self, other: "SymCharacter") -> "SymCharacter":
         if not isinstance(other, SymCharacter):
@@ -91,25 +113,32 @@ class SymCharacter:
 
     def scale(self, c: int) -> "SymCharacter":
         """Multiply every multiplicity by the integer c."""
-        return SymCharacter({w: c * v for w, v in self._m.items()})
+        c = operator.index(c)
+        return _trimmed(self._top, tuple(c * v for v in self._row)) if c else SymCharacter()
 
     def __mul__(self, other: "SymCharacter") -> "SymCharacter":
         if not isinstance(other, SymCharacter):
             return NotImplemented
+        if not self._row or not other._row:
+            return SymCharacter()
         # Pair the stored weights orbit by orbit: for u, v > 0,
         # (x^u + x^-u)(x^v + x^-v) is the orbit of u + v plus the orbit of
         # |u - v|, which is 2 at weight 0 when u = v.  The orbit of 0 is 1.
-        out: dict[int, int] = {}
-        get = out.get
-        right = list(other._m.items())
-        for u, a in self._m.items():
-            for v, b in right:
-                ab = a * b
-                out[u + v] = get(u + v, 0) + ab
+        # With u = at - 2i and v = bt - 2j, u + v is entry i + j of the
+        # product's row, and |u - v| entry bt + i - j if u >= v, else
+        # at - i + j.  The outer loop runs over the shorter row.
+        a, b = sorted((self, other), key=lambda chi: len(chi._row))
+        at, bt = a._top, b._top
+        out = [0] * ((at + bt) // 2 + 1)
+        right = [(j, bt - 2 * j, y) for j, y in enumerate(b._row) if y]
+        for i, x in enumerate(a._row):
+            u = at - 2 * i
+            for j, v, y in right:
+                xy = x * y
+                out[i + j] += xy
                 if u and v:
-                    d = u - v if u > v else v - u
-                    out[d] = get(d, 0) + (ab if d else ab + ab)
-        return SymCharacter(out)
+                    out[bt + i - j if u >= v else at - i + j] += xy if u != v else xy + xy
+        return _trimmed(at + bt, tuple(out))
 
     def __pow__(self, k: int) -> "SymCharacter":
         """The k-fold product, multiplied left to right from the trivial character."""
@@ -124,23 +153,36 @@ class SymCharacter:
         """Pull every weight w to k*w, keeping its multiplicity."""
         if k < 1:
             raise ValueError(f"weight scale must be positive, got {k}")
-        return SymCharacter({k * w: c for w, c in self._m.items()})
+        if not self._row:
+            return self
+        out = [0] * (k * self._top // 2 + 1)
+        out[::k] = self._row
+        return _trimmed(k * self._top, tuple(out))
 
     # -- plumbing --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymCharacter):
             return NotImplemented
-        return self._m == other._m
+        return self._top == other._top and self._row == other._row
 
-    __hash__ = None  # mutable-dict backed; characters are compared, not hashed
+    __hash__ = None  # characters are compared, not hashed
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{w}: {self._m[w]}" for w in self.support)
+        inner = ", ".join(f"{w}: {self.multiplicity(w)}" for w in self.support)
         return f"SymCharacter({{{inner}}})"
+
+
+def _trimmed(top: int | None, row: tuple[int, ...]) -> SymCharacter:
+    """The character (top, row) with the leading zeros of row dropped, built
+    without the mapping adapter."""
+    k = next((k for k, c in enumerate(row) if c), None)
+    chi = object.__new__(SymCharacter)
+    chi._top, chi._row = (None, ()) if k is None else (top - 2 * k, row[k:])
+    return chi
 
 
 class _Partition2Fields(NamedTuple):
@@ -156,6 +198,7 @@ class Partition2(_Partition2Fields):
     __slots__ = ()
 
     def __new__(cls, lambda1: int, lambda2: int) -> Partition2:
+        lambda1, lambda2 = operator.index(lambda1), operator.index(lambda2)
         if not lambda1 >= lambda2 >= 0:
             raise ValueError(f"need lambda1 >= lambda2 >= 0, got ({lambda1}, {lambda2})")
         return super().__new__(cls, lambda1, lambda2)

@@ -62,22 +62,22 @@ def lie_power_char(chi: SymCharacter, r: int) -> SymCharacter:
         raise ValueError(f"degree must be positive, got {r}")
     if chi.is_zero:
         return SymCharacter()
-    top = chi.max_weight
-    coeffs = [chi.multiplicity(top - 2 * j) for j in range(top + 1)]
+    top, row = chi.max_weight, chi.row
+    # P runs over the weights top, top - 2, ..., -top: the row, then its
+    # mirror image with the zero weight taken once.
+    coeffs = row + (row[::-1] if top % 2 else row[-2::-1])
     half = r * top // 2
     acc = [0] * (half + 1)
     for d in divisors(r):
         mu = mobius(d)
         if mu:
-            row = poly_power_row(coeffs, r // d, half // d + 1)
-            acc[::d] = [a + mu * c for a, c in zip(acc[::d], row)]
-    vals: dict[int, int] = {}
+            power = poly_power_row(coeffs, r // d, half // d + 1)
+            acc[::d] = [a + mu * c for a, c in zip(acc[::d], power)]
     for i, a in enumerate(acc):
-        q, rem = divmod(a, r)
+        acc[i], rem = divmod(a, r)
         if rem:
             raise ConsistencyError(f"necklace sum not divisible by {r} at weight {r * top - 2 * i}")
-        vals[r * top - 2 * i] = q
-    return SymCharacter(vals)
+    return SymCharacter.from_row(r * top, acc)
 
 
 class StohrSummand(NamedTuple):
@@ -121,8 +121,7 @@ def stohr_summand(s: int, t: int) -> StohrSummand:
             raise ConsistencyError(f"coefficient {k} of the bidegree ({s}, {t}) row is not an integer: {acc}/{k}")
         mults.append(q)
         q1, q2, q3 = q, q1, q2
-    chi = SymCharacter({top - 2 * j: m for j, m in enumerate(mults)})
-    return StohrSummand(s, t, witt_bidegree(s, t), chi)
+    return StohrSummand(s, t, witt_bidegree(s, t), SymCharacter.from_row(top, mults))
 
 
 def stohr_pairs(r: int) -> list[StohrSummand]:

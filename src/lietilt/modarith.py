@@ -115,6 +115,7 @@ def poly_power_row(coeffs: Sequence[int], n: int, terms: int | None = None) -> l
 
 def divisors(n: int) -> list[int]:
     """Positive divisors of n, ascending."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     small: list[int] = []
@@ -131,6 +132,7 @@ def divisors(n: int) -> list[int]:
 
 def mobius(n: int) -> int:
     """Moebius function: 0 on non-squarefree n, else (-1)**(number of prime factors)."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     out = 1

@@ -164,7 +164,8 @@ def theorem_c_report(r: int, p: int) -> list[TheoremCRow]:
             exceptions.add(Partition2(pm + 1, pm - 1))
             exceptions.add(Partition2(pm + 2, pm - 2))
     chi = char_lie_power(r)
-    mults = [chi.multiplicity(w) for w in range(r % 2, r + 1, 2)]
+    # chi's row, reversed and padded with zeros up to weight r, is indexed by w // 2.
+    mults = chi.row[::-1] + (0,) * (r // 2 + 1 - len(chi.row))
     rows = []
     for lam in two_row_partitions(r):
         claimed = lam not in exceptions

@@ -58,7 +58,7 @@ def char_weyl(m: int) -> SymCharacter:
     m = operator.index(m)
     if m < 0:
         raise ValueError(f"highest weight must be non-negative, got {m}")
-    return SymCharacter({w: 1 for w in range(m, -1, -2)})
+    return SymCharacter.from_row(m, (1,) * (m // 2 + 1))
 
 
 def char_simple(m: int, p: int) -> SymCharacter:
@@ -148,7 +148,7 @@ def char_tilting(m: int, p: int) -> SymCharacter:
     Built afresh on each call, with no products; decompose reads the factor
     lists and never builds this character.
     """
-    return SymCharacter(dict(tilting_multiplicities(m, p)))
+    return SymCharacter.from_row(m, [k for _, k in tilting_multiplicities(m, p)])
 
 
 def basis_char(basis: Basis | str, m: int, p: int) -> SymCharacter:
@@ -216,8 +216,9 @@ class Decomposition(_DecompositionFields):
 def _weyl_row(chi: SymCharacter, r: int) -> list[int]:
     """chi as a sum of Weyl characters at the weights w = r % 2, ..., r - 2, r,
     as a list indexed by w // 2: the Weyl character at w has multiplicity one
-    at w, w - 2, ..., so its coefficient is mult(w) - mult(w + 2)."""
-    mults = [chi.multiplicity(w) for w in range(r % 2, r + 3, 2)]
+    at w, w - 2, ..., so its coefficient is mult(w) - mult(w + 2).  chi's row,
+    reversed and padded with zeros up to weight r + 2, is indexed by w // 2."""
+    mults = chi.row[::-1] + (0,) * (r // 2 + 2 - len(chi.row))
     return [a - b for a, b in zip(mults, mults[1:])]
 
 

@@ -13,8 +13,9 @@ takes one binomial at a time instead of reading per-degree digit rows,
 the character consistency check compares every weight instead of the least
 multiplicity in each band, and a product of two characters sums over all
 signed weight pairs into a plain dict instead of calling SymCharacter's
-product, and the Lie power of a character multiplies out its dilated
-powers instead of reading coefficient rows.
+product, the Lie power of a character multiplies out its dilated
+powers instead of reading coefficient rows, and DictCharacter keeps a
+character as a dict of its non-negative weights instead of one dense row.
 """
 
 from __future__ import annotations
@@ -23,11 +24,100 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Sequence
 
 from lietilt.charring import SymCharacter
 from lietilt.modarith import prime_char
 from lietilt.tiltchar import char_weyl, tilting_multiplicities
+
+
+class DictCharacter:
+    """SymCharacter's operations over a dict of the non-negative weights with
+    nonzero multiplicity: the sparse layout the package used before rows."""
+
+    __slots__ = ("_m",)
+
+    def __init__(self, multiplicities: Mapping[int, int] = MappingProxyType({})):
+        half: dict[int, int] = {}
+        for w, c in multiplicities.items():
+            if half.setdefault(abs(w), c) != c:
+                raise ValueError(f"asymmetric multiplicities at weights +-{abs(w)}")
+        half = {w: c for w, c in half.items() if c}
+        if len({w & 1 for w in half}) > 1:
+            raise ValueError("weights of mixed parity in one character")
+        self._m = half
+
+    def multiplicity(self, w: int) -> int:
+        return self._m.get(abs(w), 0)
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(sorted(self._m, reverse=True))
+
+    @property
+    def max_weight(self) -> int | None:
+        return max(self._m) if self._m else None
+
+    @property
+    def parity(self) -> int | None:
+        for w in self._m:
+            return w & 1
+        return None
+
+    @property
+    def dim(self) -> int:
+        return self._m.get(0, 0) + 2 * sum(c for w, c in self._m.items() if w > 0)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._m
+
+    def __add__(self, other: "DictCharacter") -> "DictCharacter":
+        merged = dict(self._m)
+        for w, c in other._m.items():
+            merged[w] = merged.get(w, 0) + c
+        return DictCharacter(merged)
+
+    def __sub__(self, other: "DictCharacter") -> "DictCharacter":
+        return self + other.scale(-1)
+
+    def scale(self, c: int) -> "DictCharacter":
+        return DictCharacter({w: c * v for w, v in self._m.items()})
+
+    def __mul__(self, other: "DictCharacter") -> "DictCharacter":
+        out: dict[int, int] = {}
+        for u, a in self._m.items():
+            for v, b in other._m.items():
+                out[u + v] = out.get(u + v, 0) + a * b
+                if u and v:
+                    d = abs(u - v)
+                    out[d] = out.get(d, 0) + (a * b if d else 2 * a * b)
+        return DictCharacter(out)
+
+    def __pow__(self, k: int) -> "DictCharacter":
+        if k < 0:
+            raise ValueError(f"exponent must be non-negative, got {k}")
+        out = DictCharacter({0: 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def scale_weights(self, k: int) -> "DictCharacter":
+        if k < 1:
+            raise ValueError(f"weight scale must be positive, got {k}")
+        return DictCharacter({k * w: c for w, c in self._m.items()})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DictCharacter):
+            return NotImplemented
+        return self._m == other._m
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{w}: {self._m[w]}" for w in self.support)
+        return f"SymCharacter({{{inner}}})"
 
 
 def lyndon_words(k: int, n: int) -> Iterator[tuple[int, ...]]:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lietilt.charring import (
@@ -14,7 +14,7 @@ from lietilt.charring import (
     weight_set,
 )
 from lietilt.tiltchar import char_simple, char_tilting
-from oracles import char_product_by_weights
+from oracles import DictCharacter, char_product_by_weights
 
 
 def characters(parity: int, max_half: int = 10, max_mult: int = 4):
@@ -187,6 +187,70 @@ module_characters = st.builds(
 def test_mul_matches_weight_pair_oracle_on_module_characters(a, b):
     assert a * b == char_product_by_weights(a, b)
     assert a * a == char_product_by_weights(a, a)
+
+
+@st.composite
+def weight_maps(draw):
+    """A virtual character as a weight mapping: one parity, weights up to 80,
+    zero multiplicities kept, and some weights given with both signs."""
+    parity = draw(st.integers(0, 1))
+    half = draw(st.dictionaries(st.integers(0, 40 - parity), st.integers(-6, 6), max_size=12))
+    out = {}
+    for x, c in half.items():
+        out[2 * x + parity] = c
+        if x + parity and draw(st.booleans()):
+            out[-2 * x - parity] = c
+    return out
+
+
+def assert_same(chi, ref):
+    """chi, a SymCharacter, reads the same as ref, a DictCharacter, through every query."""
+    assert repr(chi) == repr(ref)
+    assert chi.support == ref.support
+    for name in ("max_weight", "parity", "dim", "is_zero"):
+        assert getattr(chi, name) == getattr(ref, name), name
+    reach = (ref.max_weight or 0) + 3
+    assert [chi.multiplicity(w) for w in range(-reach, reach + 1)] == [ref.multiplicity(w) for w in range(-reach, reach + 1)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(a=weight_maps(), b=weight_maps(), c=st.integers(-3, 3), k=st.integers(1, 4), e=st.integers(0, 3))
+@example(a={}, b={}, c=2, k=2, e=2)  # the zero character
+@example(a={0: 5}, b={0: -2}, c=-1, k=3, e=3)  # weight 0 alone
+@example(a={6: 1, 2: 3}, b={6: -1, 4: 2}, c=1, k=1, e=1)  # + cancels the top weight
+@example(a={6: 1, 2: 3}, b={-6: 1, 6: 1, 4: 2}, c=1, k=1, e=1)  # - cancels the top weight
+@example(a={3: 1, 1: 2}, b={-3: 1, 3: 1, 1: 2}, c=0, k=1, e=0)  # a == b, so a - b is zero; scale(0)
+@example(a={5: 2, 1: -1}, b={2: 1}, c=0, k=4, e=2)  # scale(0); scale_weights leaves gaps
+def test_row_character_matches_dict_reference(a, b, c, k, e):
+    chi_a, chi_b, ref_a, ref_b = SymCharacter(a), SymCharacter(b), DictCharacter(a), DictCharacter(b)
+    assert_same(chi_a, ref_a)
+    assert (chi_a == chi_b) == (ref_a == ref_b)
+    assert_same(chi_a * chi_b, ref_a * ref_b)
+    assert_same(chi_a ** e, ref_a ** e)
+    assert_same(chi_a.scale(c), ref_a.scale(c))
+    assert_same(chi_a.scale_weights(k), ref_a.scale_weights(k))
+    if chi_a.is_zero or chi_b.is_zero or chi_a.parity == chi_b.parity:
+        assert_same(chi_a + chi_b, ref_a + ref_b)
+        assert_same(chi_a - chi_b, ref_a - ref_b)
+    else:
+        for x, y in ((chi_a, chi_b), (ref_a, ref_b)):
+            with pytest.raises(ValueError):
+                x + y
+            with pytest.raises(ValueError):
+                x - y
+
+
+def test_from_row_and_row_round_trip():
+    chi = SymCharacter({5: 2, 1: -1})
+    assert chi.row == (2, 0, -1)
+    assert SymCharacter.from_row(chi.max_weight, chi.row) == chi
+    assert SymCharacter.from_row(7, (0, 2, 0, -1)) == chi  # leading zeros lower the top weight
+    assert SymCharacter.from_row(4, (0, 0, 0)).is_zero
+    assert SymCharacter().row == ()
+    with pytest.raises(ValueError):
+        SymCharacter.from_row(5, (2, 0))
+    with pytest.raises(ValueError):
+        SymCharacter.from_row(-1, ())
 
 
 @settings(deadline=None, max_examples=60)

@@ -297,15 +297,6 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
 
 
-def test_verification_failure_exits_one(capsys, monkeypatch):
-    def boom(r):
-        raise ConsistencyError("forced")
-
-    monkeypatch.setattr("lietilt.cli.theorem_37_report", boom)
-    assert main(["theorem-37", "--r", "7"]) == 1
-    assert "verification failure" in capsys.readouterr().err
-
-
 def test_witt_remainder_exits_one(capsys, monkeypatch):
     # A wrong Moebius value leaves a remainder in witt_weight_count(8, 0), which theorem-a reads.
     monkeypatch.setattr("lietilt.modarith.mobius", lambda d: int(d == 1))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lietilt.charring import Partition2, lambda_of, weight_set
+from lietilt.charring import Partition2, SymCharacter, lambda_of, weight_set
 from lietilt.gzeta import (
     c_sequence,
     gzeta_dim,
@@ -123,8 +123,9 @@ def test_non_integral_p_refused(name, p):
         TAKES_P[name](p)
 
 
-# Every public function that takes a highest weight or a degree, called with n
-# in its place; each call is valid for n = 9.
+# Every public function that takes a highest weight, a degree or another
+# integer (a partition row, a multiplicity, a scale factor), called with n in
+# its place; each call is valid for n = 9.
 TAKES_DEGREE = {
     "char_weyl": char_weyl,
     "char_simple": lambda n: char_simple(n, 3),
@@ -153,6 +154,15 @@ TAKES_DEGREE = {
     "metabelian_summand": lambda n: metabelian_summand(n, 2),
     "theorem_c_report": lambda n: theorem_c_report(n, 3),
     "lie_tilting_decomp": lambda n: lie_tilting_decomp(n, 3),
+    "Partition2 lambda1": lambda n: Partition2(n, 1),
+    "Partition2 lambda2": lambda n: Partition2(11, n),
+    "mobius": mobius,
+    "divisors": divisors,
+    "SymCharacter weight": lambda n: SymCharacter({n: 1}),
+    "SymCharacter multiplicity": lambda n: SymCharacter({1: n}),
+    "SymCharacter.from_row top": lambda n: SymCharacter.from_row(n, (1,) * 5),
+    "SymCharacter.from_row entry": lambda n: SymCharacter.from_row(2, (1, n)),
+    "SymCharacter.scale": lambda n: char_weyl(2).scale(n),
 }
 
 
