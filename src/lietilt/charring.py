@@ -21,7 +21,7 @@ import operator
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .modarith import ConsistencyError, prime_char
+from .modarith import ConsistencyError, at_least, prime_char
 
 __all__ = [
     "ConsistencyError",
@@ -67,6 +67,7 @@ class SymCharacter:
         return self._row
 
     def multiplicity(self, w: int) -> int:
+        w = operator.index(w)
         j, odd = divmod(self._top - abs(w), 2) if self._row else (-1, 0)
         return 0 if odd or j < 0 else self._row[j]
 
@@ -140,19 +141,9 @@ class SymCharacter:
                     out[bt + i - j if u >= v else at - i + j] += xy if u != v else xy + xy
         return _trimmed(at + bt, tuple(out))
 
-    def __pow__(self, k: int) -> "SymCharacter":
-        """The k-fold product, multiplied left to right from the trivial character."""
-        if k < 0:
-            raise ValueError(f"exponent must be non-negative, got {k}")
-        out = SymCharacter({0: 1})
-        for _ in range(k):
-            out = out * self
-        return out
-
     def scale_weights(self, k: int) -> "SymCharacter":
         """Pull every weight w to k*w, keeping its multiplicity."""
-        if k < 1:
-            raise ValueError(f"weight scale must be positive, got {k}")
+        k = at_least(k, 1, "weight scale")
         if not self._row:
             return self
         out = [0] * (k * self._top // 2 + 1)
@@ -238,14 +229,11 @@ def weight_set(r: int) -> tuple[int, ...]:
     These are the row differences of the two-row partitions of r with
     distinct rows; there are ceil(r / 2) of them.
     """
-    r = operator.index(r)
-    if r < 1:
-        raise ValueError(f"degree must be positive, got {r}")
+    r = at_least(r, 1, "degree")
     return tuple(range(r, 0, -2))
 
 
 def two_row_partitions(r: int) -> tuple[Partition2, ...]:
     """All partitions of r into at most two rows, first row decreasing."""
-    if r < 0:
-        raise ValueError(f"degree must be non-negative, got {r}")
+    r = at_least(r, 0, "degree")
     return tuple(Partition2(r - b, b) for b in range(r // 2 + 1))

@@ -278,18 +278,12 @@ def _csv_rows(payload: dict) -> tuple[list[str], list[list]]:
 
 def render_csv(payload) -> str:
     payloads = payload if isinstance(payload, list) else [payload]
-    if not payloads:
-        raise ValueError("nothing to render")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = None
-    for item in payloads:
+    for i, item in enumerate(payloads):
         head, rows = _csv_rows(item)
-        if header is None:
-            header = head
+        if not i:
             writer.writerow(head)
-        elif head != header:
-            raise ValueError("cannot mix row shapes in one csv")
         writer.writerows(rows)
     return buf.getvalue()
 

@@ -14,7 +14,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .modarith import prime_char
+from .modarith import at_least, prime_char
 from .tiltchar import is_weyl_simple
 
 __all__ = [
@@ -40,11 +40,6 @@ def is_p_power(r: int, p: int) -> bool:
     return r == 1
 
 
-def _require_divisible(r: int, p: int) -> None:
-    if r < 1 or r % p:
-        raise ValueError(f"degree must be a positive multiple of {p}, got {r}")
-
-
 def c_sequence(r: int, p: int) -> tuple[int, ...]:
     """The sequence c_j = (-1)**j * C(r - 1, j) mod p for j = 0 .. r - 1.
 
@@ -58,7 +53,8 @@ def c_sequence(r: int, p: int) -> tuple[int, ...]:
     """
     p = prime_char(p)
     r = operator.index(r)
-    _require_divisible(r, p)
+    if r < 1 or r % p:
+        raise ValueError(f"degree must be a positive multiple of {p}, got {r}")
     rows = []
     n = r - 1
     while n:
@@ -99,6 +95,7 @@ class GZetaProfile(NamedTuple):
 
     def weight_space_nonzero(self, v: int) -> bool:
         """Whether the weight space indexed by v (weight r - 2v) is nonzero."""
+        v = operator.index(v)
         if not 1 <= v <= self.r:
             raise ValueError(f"need 1 <= v <= {self.r}, got {v}")
         if v == self.r:
@@ -153,9 +150,7 @@ def theorem_b_predicate(r: int, p: int) -> bool:
     summand is known directly).
     """
     p = prime_char(p)
-    r = operator.index(r)
-    if r < 2:
-        raise ValueError(f"degree must be at least 2, got {r}")
+    r = at_least(r, 2, "degree")
     if r % p:
         return True
     return gzeta_profile(r, p).near_top_summand
@@ -171,9 +166,7 @@ def metabelian_summand(r: int, p: int) -> bool:
     and 8 (no); other prime-power degrees are rejected as undecided.
     """
     p = prime_char(p)
-    r = operator.index(r)
-    if r < 2:
-        raise ValueError(f"degree must be at least 2, got {r}")
+    r = at_least(r, 2, "degree")
     if is_p_power(r, p):
         if r == p:
             return True

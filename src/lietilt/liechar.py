@@ -16,7 +16,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .charring import ConsistencyError, Partition2, SymCharacter, weight_set
-from .modarith import divisors, mobius, poly_power_row, prime_char, witt_bidegree
+from .modarith import at_least, divisors, mobius, poly_power_row, prime_char, witt_bidegree
 from .tiltchar import Basis, Decomposition, char_weyl, decompose, tensor_power_decomp
 
 __all__ = [
@@ -57,9 +57,7 @@ def lie_power_char(chi: SymCharacter, r: int) -> SymCharacter:
     P**(r/d) at every d-th power of y.  Only the powers up to the zero weight
     are built, and the division by r is exact and checked.
     """
-    r = operator.index(r)
-    if r < 1:
-        raise ValueError(f"degree must be positive, got {r}")
+    r = at_least(r, 1, "degree")
     if chi.is_zero:
         return SymCharacter()
     top, row = chi.max_weight, chi.row
@@ -108,8 +106,7 @@ def stohr_summand(s: int, t: int) -> StohrSummand:
     D_i*(k - i)*q_{k-i}: three small-by-big products per coefficient.  Each
     division by k is exact, and checked.
     """
-    if s < 1 or t < 1:
-        raise ValueError(f"need s, t >= 1, got ({s}, {t})")
+    s, t = at_least(s, 1, "s"), at_least(t, 1, "t")
     top = 2 * s + t
     n0, n1, n2 = s + t, 3 * s + t, 2 * s + t
     mults = [1]

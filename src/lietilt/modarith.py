@@ -1,9 +1,10 @@
 """Exact modular and combinatorial arithmetic.
 
-Prime validation, the coefficient rows of powers of integer polynomials, the
-Moebius function, the Witt counting formulas for graded components of a
-free Lie algebra on two letters, and ConsistencyError, the package's error
-for a failed structural check.  Everything is exact integer arithmetic;
+Prime validation, the bound check on every degree, weight and count argument,
+the coefficient rows of powers of integer polynomials, the Moebius function,
+the Witt counting formulas for graded components of a free Lie algebra on
+two letters, and ConsistencyError, the package's error for a failed
+structural check.  Everything is exact integer arithmetic;
 nothing here depends on the rest of the package.
 """
 
@@ -74,6 +75,19 @@ def prime_char(p: int) -> int:
     return p
 
 
+def at_least(n: int, least: int, what: str) -> int:
+    """n as a plain int, checked against the lower bound least.
+
+    The one check behind every degree, weight and count argument of the
+    package: a non-integral n (6.5, 4.0, "4") raises TypeError rather than
+    being rounded, and one below least raises ValueError naming what it is.
+    """
+    n = operator.index(n)
+    if n < least:
+        raise ValueError(f"{what} must be at least {least}, got {n}")
+    return n
+
+
 def poly_power_row(coeffs: Sequence[int], n: int, terms: int | None = None) -> list[int]:
     """Coefficients a_0, a_1, ... of P(y)**n, where P(y) = coeffs[0] +
     coeffs[1]*y + ... + coeffs[e]*y**e has integer coefficients and a nonzero
@@ -87,15 +101,12 @@ def poly_power_row(coeffs: Sequence[int], n: int, terms: int | None = None) -> l
     remainder raises ValueError.  (1 + y)**n gives the binomial row
     C(n, 0), ..., C(n, n) and (1 + y + y**2)**n the trinomial row.
     """
-    if n < 0:
-        raise ValueError(f"exponent must be non-negative, got {n}")
+    n = at_least(n, 0, "exponent")
     if not coeffs or not coeffs[0]:
         raise ValueError(f"need a polynomial with nonzero constant term, got {list(coeffs)}")
     last = n * (len(coeffs) - 1)
     if terms is not None:
-        if terms < 1:
-            raise ValueError(f"need at least one term, got {terms}")
-        last = min(last, terms - 1)
+        last = min(last, at_least(terms, 1, "terms") - 1)
     # ((n + 1)*i - k) * P_i = (n + 1)*i*P_i - k*P_i, over the nonzero P_i by ascending i.
     steps = [(i, (n + 1) * i * c, c) for i, c in enumerate(coeffs) if i and c]
     p0 = coeffs[0]
@@ -115,9 +126,7 @@ def poly_power_row(coeffs: Sequence[int], n: int, terms: int | None = None) -> l
 
 def divisors(n: int) -> list[int]:
     """Positive divisors of n, ascending."""
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = at_least(n, 1, "n")
     small: list[int] = []
     large: list[int] = []
     d = 1
@@ -132,9 +141,7 @@ def divisors(n: int) -> list[int]:
 
 def mobius(n: int) -> int:
     """Moebius function: 0 on non-squarefree n, else (-1)**(number of prime factors)."""
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = at_least(n, 1, "n")
     out = 1
     d = 2
     while d * d <= n:
@@ -170,9 +177,8 @@ def witt_weight_count(r: int, i: int) -> int:
     remainder raises ConsistencyError.  The value at i and at r - i agree,
     so these counts form a symmetric weight profile.
     """
-    if r < 1:
-        raise ValueError(f"length must be positive, got {r}")
-    if i < 0 or i > r:
+    r, i = at_least(r, 1, "length"), at_least(i, 0, "i")
+    if i > r:
         raise ValueError(f"need 0 <= i <= {r}, got {i}")
     acc = 0
     for d in divisors(math.gcd(r, i)):

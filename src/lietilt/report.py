@@ -27,7 +27,7 @@ from .liechar import (
     stohr_summand,
     stohr_tilting_decomp,
 )
-from .modarith import prime_char, witt_weight_count
+from .modarith import at_least, prime_char, witt_weight_count
 from .tiltchar import tilting_bands
 
 __all__ = [
@@ -66,8 +66,7 @@ def theorem_a_report(r: int) -> list[TheoremARow]:
     certified by a positive coefficient in a single witness bidegree
     summand, (s, 1) for odd r and (s, 2) for even r.
     """
-    if r <= 6:
-        raise ValueError(f"classification needs degree > 6, got {r}")
+    r = at_least(r, 7, "degree")
     return _theorem_a_rows(r, theorem_b_predicate(r, 2))
 
 
@@ -182,8 +181,7 @@ def theorem_37_report(r: int) -> LieDecompReport:
     inconsistency); even degrees are either certified non-tilting by a
     negative coefficient or left inconclusive, never reported tilting.
     """
-    if r <= 6:
-        raise ValueError(f"the dichotomy needs degree > 6, got {r}")
+    r = at_least(r, 7, "degree")
     rep = lie_tilting_decomp(r, 2)
     if r % 2 and rep.verdict is not Verdict.TILTING:
         raise ConsistencyError(f"odd degree {r} did not come back tilting")

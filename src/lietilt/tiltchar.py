@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
 from .charring import ConsistencyError, SymCharacter, weight_set
-from .modarith import prime_char
+from .modarith import at_least, prime_char
 
 __all__ = [
     "Basis",
@@ -39,7 +39,6 @@ __all__ = [
     "natural_power_char",
     "tensor_power_decomp",
     "tilting_bands",
-    "tilting_multiplicities",
     "tilting_weyl_factors",
     "weyl_twist_identity",
 ]
@@ -55,9 +54,7 @@ class Basis(str, Enum):
 
 def char_weyl(m: int) -> SymCharacter:
     """Weyl character of highest weight m: weights m, m - 2, ..., -m, all once."""
-    m = operator.index(m)
-    if m < 0:
-        raise ValueError(f"highest weight must be non-negative, got {m}")
+    m = at_least(m, 0, "highest weight")
     return SymCharacter.from_row(m, (1,) * (m // 2 + 1))
 
 
@@ -68,9 +65,7 @@ def char_simple(m: int, p: int) -> SymCharacter:
     with weights dilated by p**i; its dimension is the product of d_i + 1.
     """
     p = prime_char(p)
-    m = operator.index(m)
-    if m < 0:
-        raise ValueError(f"highest weight must be non-negative, got {m}")
+    m = at_least(m, 0, "highest weight")
     out = char_weyl(0)
     q = 1
     while m:
@@ -88,9 +83,7 @@ def is_weyl_simple(m: int, p: int) -> bool:
     digit terms, m + 1 with the p-part stripped must be below p.
     """
     p = prime_char(p)
-    m = operator.index(m)
-    if m < 0:
-        raise ValueError(f"highest weight must be non-negative, got {m}")
+    m = at_least(m, 0, "highest weight")
     u = m + 1
     while u % p == 0:
         u //= p
@@ -113,9 +106,7 @@ def tilting_weyl_factors(m: int, p: int) -> tuple[int, ...]:
     once (6, 2) is cached, and a cache hit repeats no check.
     """
     p = prime_char(p)
-    m = operator.index(m)
-    if m < 0:
-        raise ValueError(f"highest weight must be non-negative, got {m}")
+    m = at_least(m, 0, "highest weight")
     if m <= p - 1:
         return (m,)
     b, a = divmod(m - (p - 1), p)
@@ -136,11 +127,6 @@ def tilting_bands(m: int, p: int) -> Iterator[tuple[int, int, int]]:
     return ((k, top, bottom) for k, (top, bottom) in enumerate(zip(factors, bottoms), 1))
 
 
-def tilting_multiplicities(m: int, p: int) -> Iterator[tuple[int, int]]:
-    """(weight, multiplicity) over the non-negative weights of T(m), descending."""
-    return ((w, k) for k, top, bottom in tilting_bands(m, p) for w in range(top, bottom - 2, -2))
-
-
 def char_tilting(m: int, p: int) -> SymCharacter:
     """Character of the indecomposable tilting module of highest weight m:
     the sum of the Weyl characters at its tilting_weyl_factors.
@@ -148,7 +134,7 @@ def char_tilting(m: int, p: int) -> SymCharacter:
     Built afresh on each call, with no products; decompose reads the factor
     lists and never builds this character.
     """
-    return SymCharacter.from_row(m, [k for _, k in tilting_multiplicities(m, p)])
+    return SymCharacter.from_row(m, [k for k, top, bottom in tilting_bands(m, p) for _ in range(top, bottom - 2, -2)])
 
 
 def basis_char(basis: Basis | str, m: int, p: int) -> SymCharacter:
@@ -156,7 +142,6 @@ def basis_char(basis: Basis | str, m: int, p: int) -> SymCharacter:
     given by its name, and an unknown name raises ValueError."""
     basis = Basis(basis)
     p = prime_char(p)
-    m = operator.index(m)
     if basis is Basis.DELTA:
         return char_weyl(m)
     if basis is Basis.SIMPLE:
@@ -238,9 +223,7 @@ def decompose(chi: SymCharacter, basis: Basis | str, r: int, p: int) -> Decompos
     """
     basis = Basis(basis)
     p = prime_char(p)
-    r = operator.index(r)
-    if r < 1:
-        raise ValueError(f"degree must be positive, got {r}")
+    r = at_least(r, 1, "degree")
     if not chi.is_zero:
         if chi.parity != r % 2:
             raise ValueError("character parity does not match the degree")
@@ -266,10 +249,11 @@ def decompose(chi: SymCharacter, basis: Basis | str, r: int, p: int) -> Decompos
 def natural_power_char(r: int) -> SymCharacter:
     """Character of the r-fold tensor power of the natural two-dimensional
     character: binomial weight multiplicities with total 2**r."""
-    r = operator.index(r)
-    if r < 1:
-        raise ValueError(f"tensor degree must be positive, got {r}")
-    return char_weyl(1) ** r
+    r = at_least(r, 1, "tensor degree")
+    out = delta = char_weyl(1)
+    for _ in range(r - 1):
+        out = out * delta
+    return out
 
 
 def tensor_power_decomp(r: int, p: int) -> Decomposition:
@@ -294,9 +278,7 @@ def weyl_twist_identity(n: int, i: int, p: int) -> bool:
     at i.  Returns whether the identity holds exactly.
     """
     p = prime_char(p)
-    n, i = operator.index(n), operator.index(i)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n, i = at_least(n, 1, "n"), operator.index(i)
     if not 0 <= i <= p - 2:
         raise ValueError(f"need 0 <= i <= p - 2, got {i}")
     j = p - 2 - i

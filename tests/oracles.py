@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from lietilt.charring import SymCharacter
 from lietilt.modarith import prime_char
-from lietilt.tiltchar import char_weyl, tilting_multiplicities
+from lietilt.tiltchar import char_weyl
 
 
 class DictCharacter:
@@ -94,14 +94,6 @@ class DictCharacter:
                     d = abs(u - v)
                     out[d] = out.get(d, 0) + (a * b if d else 2 * a * b)
         return DictCharacter(out)
-
-    def __pow__(self, k: int) -> "DictCharacter":
-        if k < 0:
-            raise ValueError(f"exponent must be non-negative, got {k}")
-        out = DictCharacter({0: 1})
-        for _ in range(k):
-            out = out * self
-        return out
 
     def scale_weights(self, k: int) -> "DictCharacter":
         if k < 1:
@@ -218,10 +210,18 @@ def char_product_by_weights(a: SymCharacter, b: SymCharacter) -> SymCharacter:
     return SymCharacter(out)
 
 
+def power(chi: SymCharacter, k: int) -> SymCharacter:
+    """The k-fold product of chi, multiplied left to right from the trivial character."""
+    out = SymCharacter({0: 1})
+    for _ in range(k):
+        out = out * chi
+    return out
+
+
 def stohr_character_by_products(s: int, t: int) -> SymCharacter:
     """Character of the bidegree-(s, t) summand as s factors of the
     three-dimensional and t factors of the two-dimensional Weyl character."""
-    return char_weyl(2) ** s * char_weyl(1) ** t
+    return power(char_weyl(2), s) * power(char_weyl(1), t)
 
 
 def lie_power_char_by_products(chi: SymCharacter, r: int) -> SymCharacter:
@@ -230,7 +230,7 @@ def lie_power_char_by_products(chi: SymCharacter, r: int) -> SymCharacter:
     mu = sieve_mobius(r)
     acc = SymCharacter()
     for d in divisors_of(r):
-        acc = acc + (chi.scale_weights(d) ** (r // d)).scale(mu[d])
+        acc = acc + power(chi.scale_weights(d), r // d).scale(mu[d])
     if any(acc.multiplicity(w) % r for w in acc.support):
         raise ValueError(f"necklace sum not divisible by {r}")
     return SymCharacter({w: acc.multiplicity(w) // r for w in acc.support})
@@ -309,5 +309,6 @@ def c_sequence_by_binomials(r: int, p: int) -> tuple[int, ...]:
 
 def char_consistent_by_weights(chi: SymCharacter, m: int, p: int) -> bool:
     """Whether chi keeps non-negative multiplicities after one subtraction of
-    the character of T(m), compared weight by weight."""
-    return all(chi.multiplicity(w) >= k for w, k in tilting_multiplicities(m, p))
+    the character of T(m), built by products, compared weight by weight."""
+    tm = char_tilting_by_products(m, p)
+    return all(chi.multiplicity(w) >= tm.multiplicity(w) for w in tm.support)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -381,3 +382,11 @@ def test_cli_import_skips_the_introspection_modules():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     assert proc.stdout.split() == []
+
+
+def test_console_script_entry_point_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["lietilt"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main

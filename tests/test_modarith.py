@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lietilt.charring import Partition2, SymCharacter, lambda_of, weight_set
+from lietilt.charring import Partition2, SymCharacter, lambda_of, two_row_partitions, weight_set
 from lietilt.gzeta import (
     c_sequence,
     gzeta_dim,
@@ -17,7 +17,7 @@ from lietilt.gzeta import (
     theorem_b_predicate,
     weight_nonzero,
 )
-from lietilt.liechar import char_lie_power, lie_power_char, lie_tilting_decomp
+from lietilt.liechar import char_lie_power, lie_power_char, lie_tilting_decomp, stohr_pairs, stohr_summand
 from lietilt.modarith import (
     ConsistencyError,
     divisors,
@@ -27,7 +27,7 @@ from lietilt.modarith import (
     witt_bidegree,
     witt_weight_count,
 )
-from lietilt.report import theorem_c_report
+from lietilt.report import theorem_37_report, theorem_a_report, theorem_c_report
 from lietilt.tiltchar import (
     Basis,
     basis_char,
@@ -39,7 +39,6 @@ from lietilt.tiltchar import (
     natural_power_char,
     tensor_power_decomp,
     tilting_bands,
-    tilting_multiplicities,
     tilting_weyl_factors,
     weyl_twist_identity,
 )
@@ -97,7 +96,6 @@ TAKES_P = {
     "is_weyl_simple": lambda p: is_weyl_simple(5, p),
     "tilting_weyl_factors": lambda p: tilting_weyl_factors(6, p),
     "tilting_bands": lambda p: tilting_bands(6, p),
-    "tilting_multiplicities": lambda p: tilting_multiplicities(6, p),
     "char_tilting": lambda p: char_tilting(6, p),
     "basis_char": lambda p: basis_char(Basis.DELTA, 3, p),
     "weyl_twist_identity": lambda p: weyl_twist_identity(2, 0, p),
@@ -132,7 +130,6 @@ TAKES_DEGREE = {
     "is_weyl_simple": lambda n: is_weyl_simple(n, 3),
     "tilting_weyl_factors": lambda n: tilting_weyl_factors(n, 2),
     "tilting_bands": lambda n: tilting_bands(n, 2),
-    "tilting_multiplicities": lambda n: tilting_multiplicities(n, 2),
     "char_tilting": lambda n: char_tilting(n, 2),
     "basis_char": lambda n: basis_char(Basis.TILTING, n, 2),
     "decompose": lambda n: decompose(char_weyl(9), Basis.TILTING, n, 3),
@@ -143,6 +140,7 @@ TAKES_DEGREE = {
     "lambda_of m": lambda n: lambda_of(n, 11),
     "lambda_of r": lambda n: lambda_of(1, n),
     "weight_set": weight_set,
+    "two_row_partitions": two_row_partitions,
     "char_lie_power": char_lie_power,
     "lie_power_char": lambda n: lie_power_char(char_weyl(2), n),
     "is_p_power": lambda n: is_p_power(n, 3),
@@ -150,19 +148,32 @@ TAKES_DEGREE = {
     "gzeta_profile": lambda n: gzeta_profile(n, 3),
     "gzeta_dim": lambda n: gzeta_dim(n, 3),
     "weight_nonzero": lambda n: weight_nonzero(n, 3, 1),
+    "weight_nonzero v": lambda n: weight_nonzero(9, 3, n),
     "theorem_b_predicate": lambda n: theorem_b_predicate(n, 3),
     "metabelian_summand": lambda n: metabelian_summand(n, 2),
     "theorem_c_report": lambda n: theorem_c_report(n, 3),
     "lie_tilting_decomp": lambda n: lie_tilting_decomp(n, 3),
+    "stohr_summand s": lambda n: stohr_summand(n, 1),
+    "stohr_summand t": lambda n: stohr_summand(1, n),
+    "stohr_pairs": stohr_pairs,
+    "theorem_a_report": theorem_a_report,
+    "theorem_37_report": theorem_37_report,
     "Partition2 lambda1": lambda n: Partition2(n, 1),
     "Partition2 lambda2": lambda n: Partition2(11, n),
     "mobius": mobius,
     "divisors": divisors,
+    "witt_weight_count r": lambda n: witt_weight_count(n, 2),
+    "witt_weight_count i": lambda n: witt_weight_count(11, n),
+    "witt_bidegree": lambda n: witt_bidegree(n, 2),
+    "poly_power_row n": lambda n: poly_power_row((1, 1), n),
+    "poly_power_row terms": lambda n: poly_power_row((1, 1), 9, n),
     "SymCharacter weight": lambda n: SymCharacter({n: 1}),
     "SymCharacter multiplicity": lambda n: SymCharacter({1: n}),
     "SymCharacter.from_row top": lambda n: SymCharacter.from_row(n, (1,) * 5),
     "SymCharacter.from_row entry": lambda n: SymCharacter.from_row(2, (1, n)),
     "SymCharacter.scale": lambda n: char_weyl(2).scale(n),
+    "SymCharacter.scale_weights": lambda n: char_weyl(2).scale_weights(n),
+    "SymCharacter.multiplicity": lambda n: char_weyl(2).multiplicity(n),
 }
 
 
