@@ -10,7 +10,6 @@ module, which in turn decides whether the near-top tilting summand occurs.
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import NamedTuple
 
@@ -48,30 +47,32 @@ def c_sequence(r: int, p: int) -> tuple[int, ...]:
 
     By Lucas's theorem C(n, j) mod p is the product of C(n_i, j_i) over the
     base-p digits n_i of n = r - 1 and j_i of j, and it vanishes as soon as
-    some j_i exceeds n_i.  The digits of n and their rows C(n_i, 0 .. n_i)
-    mod p are found once per degree; each entry then walks the digits of j.
+    some j_i exceeds n_i.  So the unsigned sequence is the Kronecker product
+    of the digit rows C(n_i, 0 .. n_i) mod p, taken from the top digit down,
+    with every row but the top one padded with zeros to length p.  With the
+    top digit n_m left unpadded, the product has (n_m + 1) * p**m <= 2n
+    entries before it is cut to r = n + 1.
     """
     p = prime_char(p)
     r = operator.index(r)
     if r < 1 or r % p:
         raise ValueError(f"degree must be a positive multiple of {p}, got {r}")
-    rows = []
+    digits = []
     n = r - 1
     while n:
         n, nd = divmod(n, p)
-        rows.append([math.comb(nd, k) % p for k in range(nd + 1)])
-    sign_odd = p - 1  # -1 mod p
-    out = []
-    for j in range(r):
-        c, k = 1, j
-        for row in rows:
-            k, kd = divmod(k, p)
-            if kd >= len(row):
-                c = 0
-                break
-            c = c * row[kd] % p
-        out.append(c * sign_odd % p if j % 2 else c)
-    return tuple(out)
+        digits.append(nd)
+    seq = [1]
+    for i, nd in enumerate(reversed(digits)):
+        row = [1]
+        for k in range(1, nd + 1):  # C(nd, k) = C(nd, k - 1) * (nd - k + 1) / k; k < p is a unit
+            row.append(row[-1] * (nd - k + 1) * pow(k, -1, p) % p)
+        if i:
+            row += [0] * (p - 1 - nd)
+        seq = [a * b % p for a in seq for b in row]
+    del seq[r:]
+    seq[1::2] = [-c % p for c in seq[1::2]]
+    return tuple(seq)
 
 
 class GZetaProfile(NamedTuple):

@@ -9,7 +9,10 @@ summands are built from products of characters instead of read off lists of
 Weyl factors or coefficient rows, powers of polynomials are multiplied out
 instead of run through Miller's recurrence, decompositions eliminate
 weight by weight instead of in Weyl coordinates, the coefficient sequence
-takes one binomial at a time instead of reading per-degree digit rows,
+takes one binomial at a time instead of multiplying out digit rows, the
+near-top dimension counts the nonzero divided powers of the bracket
+[y, x, ..., x] applied word by word in the tensor space instead of reading
+two facts off the coefficient sequence,
 the character consistency check compares every weight instead of the least
 multiplicity in each band, and a product of two characters sums over all
 signed weight pairs into a plain dict instead of calling SymCharacter's
@@ -305,6 +308,43 @@ def binom_mod(n: int, k: int, p: int) -> int:
 def c_sequence_by_binomials(r: int, p: int) -> tuple[int, ...]:
     """(-1)**j * C(r - 1, j) mod p for j = 0 .. r - 1, one binom_mod call per entry."""
     return tuple(binom_mod(r - 1, j, p) * (-1) ** j % p for j in range(r))
+
+
+def near_top_dim_in_tensor_space(r: int, p: int) -> int:
+    """Dimension of the submodule generated by the top vector of the
+    degree-r Lie power, counted in V^(x)r over GF(p) with no binomials.
+
+    A word in x and y of length r is the bit mask of its y positions.  The
+    left-normed bracket [y, x, ..., x] is expanded one bracket at a time,
+    u -> u x - x u; E (each y in turn made x) must kill it.  Each divided
+    power F^(k) turns every k-subset of the x positions of every word into
+    y, and the count is the number of k for which some word keeps a nonzero
+    coefficient mod p.  This is about r * 2**(r - 1) word operations.
+    """
+    vec = {1: 1}  # the word y
+    for _ in range(r - 1):
+        out: dict[int, int] = {}
+        for mask, c in vec.items():
+            out[mask] = out.get(mask, 0) + c  # u x: the new last letter is x
+            out[mask << 1] = out.get(mask << 1, 0) - c  # x u: the new first letter is x
+        vec = {mask: c % p for mask, c in out.items() if c % p}
+    raised: dict[int, int] = {}
+    for mask, c in vec.items():
+        for i in range(r):
+            if mask >> i & 1:
+                raised[mask ^ 1 << i] = raised.get(mask ^ 1 << i, 0) + c
+    if any(c % p for c in raised.values()):
+        raise AssertionError(f"E does not kill [y, x, ..., x] at r = {r}, p = {p}")
+    count = 0
+    for k in range(r):
+        lowered: dict[int, int] = {}
+        for mask, c in vec.items():
+            xs = [1 << i for i in range(r) if not mask >> i & 1]
+            for subset in itertools.combinations(xs, k):
+                word = mask | sum(subset)
+                lowered[word] = lowered.get(word, 0) + c
+        count += any(c % p for c in lowered.values())
+    return count
 
 
 def char_consistent_by_weights(chi: SymCharacter, m: int, p: int) -> bool:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from lietilt.gzeta import (
 )
 from lietilt.tiltchar import char_simple, is_weyl_simple
 
-from oracles import c_sequence_by_binomials, subset_sum_nonzero
+from oracles import c_sequence_by_binomials, near_top_dim_in_tensor_space, subset_sum_nonzero
 
 
 # -- p-power detection --------------------------------------------------
@@ -80,9 +81,22 @@ def test_c_sequence_matches_per_entry_oracle(p):
 @given(st.data())
 def test_c_sequence_matches_per_entry_oracle_up_to_r_max(data):
     # 4093 is the largest prime below R_MAX: one digit row, longer than the sequence.
-    p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13, 4093)))
+    # 2039 lies above sqrt(R_MAX): two digit rows, the lower one of length p.
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13, 2039, 4093)))
     r = p * data.draw(st.integers(1, R_MAX // p))
     assert c_sequence(r, p) == c_sequence_by_binomials(r, p)
+
+
+def test_c_sequence_memory_is_linear_in_r():
+    # r - 1 = 1 * 2039 + 2038: only the top row is left unpadded, so the product
+    # holds 2 * 2039 entries.  Padding the top row too would build 2039**2.
+    tracemalloc.start()
+    try:
+        c_sequence(4078, 2039)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- weight-space profiles ---------------------------------------------
@@ -171,6 +185,13 @@ def test_gzeta_dim_known():
     assert gzeta_dim(9, 3) == 6
     assert gzeta_dim(4, 2) == 2
     assert gzeta_dim(2, 2) == 1
+
+
+def test_gzeta_dim_matches_tensor_space_oracle():
+    # The oracle builds the submodule in V^(x)r itself, without the coefficient sequence.
+    for p in (2, 3, 5, 7, 11, 13):
+        for r in range(p, 17, p):
+            assert gzeta_dim(r, p) == near_top_dim_in_tensor_space(r, p), (r, p)
 
 
 def test_gzeta_dim_dichotomy():
