@@ -39,6 +39,29 @@ def is_p_power(r: int, p: int) -> bool:
     return r == 1
 
 
+def _kronecker(left: list[int], right: list[int], p: int) -> list[int]:
+    """The Kronecker product of two lists of residues mod p: entry
+    i * len(right) + k is left[i] * right[k] % p.
+
+    Python loops only over the shorter factor.  Each of its entries m fills
+    its slice of the product from the other factor: a copy for m = 1,
+    nothing for m = 0 (the product starts as zeros), and otherwise a map
+    through a table on the other factor's distinct values.
+    """
+    width = len(right)
+    out = [0] * (len(left) * width)
+    by_row = width <= len(left)
+    scalars, other = (right, left) if by_row else (left, right)
+    multipliers = set(scalars) - {0, 1}
+    values = set(other) if multipliers else ()
+    tables = {m: {v: v * m % p for v in values}.__getitem__ for m in multipliers}
+    for k, m in enumerate(scalars):
+        if m:
+            place = slice(k, None, width) if by_row else slice(k * width, k * width + width)
+            out[place] = other if m == 1 else map(tables[m], other)
+    return out
+
+
 def c_sequence(r: int, p: int) -> tuple[int, ...]:
     """The sequence c_j = (-1)**j * C(r - 1, j) mod p for j = 0 .. r - 1.
 
@@ -47,11 +70,13 @@ def c_sequence(r: int, p: int) -> tuple[int, ...]:
 
     By Lucas's theorem C(n, j) mod p is the product of C(n_i, j_i) over the
     base-p digits n_i of n = r - 1 and j_i of j, and it vanishes as soon as
-    some j_i exceeds n_i.  So the unsigned sequence is the Kronecker product
-    of the digit rows C(n_i, 0 .. n_i) mod p, taken from the top digit down,
-    with every row but the top one padded with zeros to length p.  With the
-    top digit n_m left unpadded, the product has (n_m + 1) * p**m <= 2n
-    entries before it is cut to r = n + 1.
+    some j_i exceeds n_i.  The sign splits the same way: (-1)**j is the
+    product of the (-1)**j_i mod p, since p**i is odd for odd p and
+    -1 = 1 mod 2.  So c is the Kronecker product of the signed digit rows
+    (-1)**k * C(n_i, k) mod p for k = 0 .. n_i, taken from the top digit
+    down, with every row but the top one padded with zeros to length p.
+    With the top digit n_m left unpadded, the product has
+    (n_m + 1) * p**m <= 2n entries before it is cut to r = n + 1.
     """
     p = prime_char(p)
     r = operator.index(r)
@@ -62,51 +87,47 @@ def c_sequence(r: int, p: int) -> tuple[int, ...]:
     while n:
         n, nd = divmod(n, p)
         digits.append(nd)
-    seq = [1]
     for i, nd in enumerate(reversed(digits)):
         row = [1]
-        for k in range(1, nd + 1):  # C(nd, k) = C(nd, k - 1) * (nd - k + 1) / k; k < p is a unit
-            row.append(row[-1] * (nd - k + 1) * pow(k, -1, p) % p)
-        if i:
-            row += [0] * (p - 1 - nd)
-        seq = [a * b % p for a in seq for b in row]
+        for k in range(1, nd + 1):  # the entry at k - 1, times -(nd - k + 1) / k; k < p is a unit
+            row.append(row[-1] * (k - 1 - nd) * pow(k, -1, p) % p)
+        seq = _kronecker(seq, row + [0] * (p - 1 - nd), p) if i else row
     del seq[r:]
-    seq[1::2] = [-c % p for c in seq[1::2]]
     return tuple(seq)
 
 
 class GZetaProfile(NamedTuple):
     """Per-weight nonzeroness profile of the near-top submodule.
 
-    Two facts about the coefficient sequence decide every weight space:
-    whether all c_j are equal, and whether their sum is nonzero mod p.
+    One fact about the coefficient sequence decides every weight space:
+    whether all c_j are equal.
 
     A v-element subset sum can vanish for all subsets only if all
     coefficients agree (then every sum is v * c_0, and c_0 = 1) or if v = r
     (a single subset, the full sum, which is the expansion of (1 - 1)**(r - 1)
     and always vanishes exactly when r >= 2).  Swapping two unequal
     coefficients changes some subset sum, so in every other situation some
-    sum is nonzero.
+    sum is nonzero.  Every valid r is a multiple of p >= 2, so the full sum
+    always vanishes and the weight space v = r is always zero.
     """
 
     r: int
     p: int
     all_equal: bool
-    total_nonzero: bool
 
     def weight_space_nonzero(self, v: int) -> bool:
         """Whether the weight space indexed by v (weight r - 2v) is nonzero."""
         v = operator.index(v)
         if not 1 <= v <= self.r:
             raise ValueError(f"need 1 <= v <= {self.r}, got {v}")
-        if v == self.r:
-            return self.total_nonzero
+        if v == self.r:  # the full sum, (1 - 1)**(r - 1) mod p
+            return False
         return not self.all_equal or v % self.p != 0
 
     @property
     def dim(self) -> int:
         """Number of nonzero weight spaces for v = 1 .. r."""
-        return (self.r - self.r // self.p if self.all_equal else self.r - 1) + self.total_nonzero
+        return self.r - self.r // self.p if self.all_equal else self.r - 1
 
     @property
     def is_p_power(self) -> bool:
@@ -123,8 +144,7 @@ def gzeta_profile(r: int, p: int) -> GZetaProfile:
     """Analyse every weight space of the near-top submodule at once."""
     p = prime_char(p)
     r = operator.index(r)
-    cs = c_sequence(r, p)
-    return GZetaProfile(r, p, len(set(cs)) == 1, sum(cs) % p != 0)
+    return GZetaProfile(r, p, len(set(c_sequence(r, p))) == 1)
 
 
 def weight_nonzero(r: int, p: int, v: int) -> bool:

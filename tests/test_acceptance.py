@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from conftest import record_acceptance
 
 from lietilt.charring import Partition2, SymCharacter, two_row_partitions
+from lietilt.cli import R_MAX
 from lietilt.gzeta import gzeta_dim, is_p_power, metabelian_summand, weight_nonzero, c_sequence
 from lietilt.liechar import (
     Verdict,
@@ -170,3 +171,14 @@ def test_supplement_theorem_c_consistency():
             for row in theorem_c_report(r, p):
                 if row.claimed:
                     assert row.char_consistent
+
+
+def test_supplement_c_sequence_large_p_budget():
+    # At a large prime the digit rows are long and the sequence is short: the Kronecker
+    # product must loop over the short factor, not build a length-p table per entry of the row.
+    with criterion("supplement c-sequence-large-p-budget"):
+        start = time.perf_counter()
+        for p in (2039, 4093):
+            for r in range(p, R_MAX + 1, p):
+                c_sequence(r, p)
+        assert time.perf_counter() - start < 0.2

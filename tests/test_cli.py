@@ -67,6 +67,8 @@ GOLDEN_SHA256 = {
     "report-all --r-min 7 --r-max 120 --p 3": "d49bcb07e1822bae3e6ceb6864b3a9fcce04812c3cc1d28f4365db973f176288",
     "stohr --r 300": "13b8dc800174c2d7a69162e9c137379c3acfe6a600fe3d0f9561bcb2352dca0a",
     "theorem-a --r-min 7 --r-max 60 --format pretty": "f38951aaef2ab2e75dde875b080b1c24ef47eef9e08eb4be334dd63c7326b2bf",
+    "theorem-b --p 2 --r-min 2 --r-max 4096": "54e0096320174e0d01f92d995dd6b341523c79a3122ee0df5ca2351c6029cfd6",
+    "theorem-b --p 3 --r-min 2 --r-max 4000 --format csv": "0d099c2e9024c75ecd6f25cbd48e0c246ef289c6c30a90cd2ef5b0ab152ecf39",
 }
 
 
