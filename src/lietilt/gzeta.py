@@ -11,7 +11,7 @@ module, which in turn decides whether the near-top tilting summand occurs.
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .modarith import at_least, prime_char
 from .tiltchar import is_weyl_simple
@@ -62,6 +62,31 @@ def _kronecker(left: list[int], right: list[int], p: int) -> list[int]:
     return out
 
 
+def _signed_digit_rows(r: int, p: int) -> Iterator[list[int]]:
+    """The signed rows (-1)**k * C(n_i, k) mod p, k = 0 .. n_i, of the base-p
+    digits n_i of n = r - 1, lowest digit first; every row but the top one is
+    padded with zeros to length p.
+
+    Each row is made by s_k = s_(k-1) * (k - 1 - n_i) / k in GF(p) from
+    s_0 = 1, except that the row of the digit p - 1 is all ones, since
+    (-1)**k * C(p - 1, k) = 1 mod p.  That digit is the lowest of r - 1 for
+    every r that p divides.  Expects p prime.  An r that is not a positive
+    multiple of p is refused when the first row is asked for.
+    """
+    if r < 1 or r % p:
+        raise ValueError(f"degree must be a positive multiple of {p}, got {r}")
+    n = r - 1
+    while n:
+        n, nd = divmod(n, p)
+        if nd == p - 1:
+            yield [1] * p
+            continue
+        row = [1]
+        for k in range(1, nd + 1):  # the entry at k - 1, times -(nd - k + 1) / k; k < p is a unit
+            row.append(row[-1] * (k - 1 - nd) * pow(k, -1, p) % p)
+        yield row + [0] * (p - 1 - nd) if n else row
+
+
 def c_sequence(r: int, p: int) -> tuple[int, ...]:
     """The sequence c_j = (-1)**j * C(r - 1, j) mod p for j = 0 .. r - 1.
 
@@ -77,21 +102,15 @@ def c_sequence(r: int, p: int) -> tuple[int, ...]:
     down, with every row but the top one padded with zeros to length p.
     With the top digit n_m left unpadded, the product has
     (n_m + 1) * p**m <= 2n entries before it is cut to r = n + 1.
+
+    Only this function builds the sequence; gzeta_profile reads the rows.
     """
     p = prime_char(p)
     r = operator.index(r)
-    if r < 1 or r % p:
-        raise ValueError(f"degree must be a positive multiple of {p}, got {r}")
-    digits = []
-    n = r - 1
-    while n:
-        n, nd = divmod(n, p)
-        digits.append(nd)
-    for i, nd in enumerate(reversed(digits)):
-        row = [1]
-        for k in range(1, nd + 1):  # the entry at k - 1, times -(nd - k + 1) / k; k < p is a unit
-            row.append(row[-1] * (k - 1 - nd) * pow(k, -1, p) % p)
-        seq = _kronecker(seq, row + [0] * (p - 1 - nd), p) if i else row
+    rows = list(_signed_digit_rows(r, p))
+    seq = rows.pop()
+    for row in reversed(rows):
+        seq = _kronecker(seq, row, p)
     del seq[r:]
     return tuple(seq)
 
@@ -109,6 +128,19 @@ class GZetaProfile(NamedTuple):
     coefficients changes some subset sum, so in every other situation some
     sum is nonzero.  Every valid r is a multiple of p >= 2, so the full sum
     always vanishes and the weight space v = r is always zero.
+
+    Whether all c_j are equal is read off the signed digit rows of r - 1,
+    without building the sequence, by Lucas's theorem:
+
+    1. c is the Kronecker product of the rows (-1)**k * C(n_i, k) mod p.  The
+       top row is unpadded, the others are padded with zeros to length p,
+       and the product is cut to r entries (see c_sequence).
+    2. Every row starts with 1, so the entry at j = k * p**i is the k-th
+       entry of row i, and the product is constant iff each factor is
+       constant, that is all ones.
+    3. A padding zero of a non-top digit n_i < p - 1 sits at
+       j = (n_i + 1) * p**i < r, so the cut never hides one; the top row is
+       unpadded and lies wholly below the cut.
     """
 
     r: int
@@ -141,10 +173,17 @@ class GZetaProfile(NamedTuple):
 
 
 def gzeta_profile(r: int, p: int) -> GZetaProfile:
-    """Analyse every weight space of the near-top submodule at once."""
+    """Analyse every weight space of the near-top submodule at once.
+
+    Requires p | r.  The sequence c is constant iff every signed digit row of
+    r - 1 is all ones (the argument is in GZetaProfile): the rows are walked
+    from the lowest digit up, and the walk stops at the first row that is
+    not.  That costs O(p * log_p r) per degree instead of the r entries of
+    c_sequence, which this function never builds.
+    """
     p = prime_char(p)
     r = operator.index(r)
-    return GZetaProfile(r, p, len(set(c_sequence(r, p))) == 1)
+    return GZetaProfile(r, p, all(set(row) == {1} for row in _signed_digit_rows(r, p)))
 
 
 def weight_nonzero(r: int, p: int, v: int) -> bool:

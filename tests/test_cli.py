@@ -138,7 +138,23 @@ def test_theorem_b_range(capsys):
 
 @pytest.fixture
 def profiles_built(monkeypatch):
-    """The degrees whose coefficient sequence is built, in order."""
+    """The degrees whose profile is built, in order."""
+    built = []
+    gzeta_profile = lietilt.gzeta.gzeta_profile
+
+    def counting_gzeta_profile(r, p):
+        built.append(r)
+        return gzeta_profile(r, p)
+
+    # cli imports gzeta_profile by name; theorem_b_predicate reads the module's.
+    monkeypatch.setattr(lietilt.gzeta, "gzeta_profile", counting_gzeta_profile)
+    monkeypatch.setattr(lietilt.cli, "gzeta_profile", counting_gzeta_profile)
+    return built
+
+
+@pytest.fixture
+def sequences_built(monkeypatch):
+    """The degrees whose whole coefficient sequence is built, in order."""
     built = []
     c_sequence = lietilt.gzeta.c_sequence
 
@@ -150,16 +166,26 @@ def profiles_built(monkeypatch):
     return built
 
 
-def test_theorem_b_range_builds_one_profile_per_even_degree(capsys, profiles_built):
+def test_theorem_b_range_builds_one_profile_per_even_degree(capsys, profiles_built, sequences_built):
     assert main(["theorem-b", "--r-min", "2", "--r-max", "12", "--p", "2"]) == 0
     capsys.readouterr()
     assert profiles_built == list(range(2, 13, 2))
+    assert sequences_built == []
 
 
-def test_report_all_builds_one_profile_per_even_degree(capsys, profiles_built):
+def test_report_all_builds_one_profile_per_even_degree(capsys, profiles_built, sequences_built):
     assert main(["report-all", "--r-min", "7", "--r-max", "12"]) == 0
     capsys.readouterr()
     assert profiles_built == [8, 10, 12]
+    assert sequences_built == []
+
+
+def test_theorem_c_builds_one_profile_and_no_sequence(capsys, profiles_built, sequences_built):
+    # The near-top row of theorem-c asks theorem_b_predicate once, at its own degree.
+    assert main(["theorem-c", "--r", "18", "--p", "3"]) == 0
+    capsys.readouterr()
+    assert profiles_built == [18]
+    assert sequences_built == []
 
 
 def test_theorem_c_payload(capsys):
@@ -263,6 +289,13 @@ def test_usage_errors_exit_two(capsys):
     assert "must not exceed" in capsys.readouterr().err
     assert main(["theorem-b", "--r", "4096", "--p", "2"]) == 0
     capsys.readouterr()
+
+
+def test_gzeta_indivisible_degree_message(capsys):
+    assert main(["gzeta", "--r", "4", "--p", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degree must be a positive multiple of 3, got 4\n"
 
 
 @pytest.mark.parametrize(("name", "takes_p", "single", "ranged"), [

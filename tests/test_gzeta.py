@@ -167,6 +167,25 @@ def test_gzeta_profile_invariants():
             assert prof.is_p_power == is_p_power(r, p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_gzeta_profile_matches_per_entry_oracle(p):
+    # The profile reads the digit rows of r - 1; the oracle builds every entry.
+    for r in range(p, 1201, p):
+        assert gzeta_profile(r, p).all_equal == (len(set(c_sequence_by_binomials(r, p))) == 1), r
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_gzeta_profile_matches_per_entry_oracle_up_to_r_max(data):
+    # At 2039 the degree is p or 2p: the lowest digit p - 1 of r - 1, alone or under a
+    # top digit 1.  At 4093 only r = p is drawn.  The profile never calls is_p_power.
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13, 2039, 4093)))
+    r = p * data.draw(st.integers(1, R_MAX // p))
+    all_equal = gzeta_profile(r, p).all_equal
+    assert all_equal == (len(set(c_sequence_by_binomials(r, p))) == 1)
+    assert all_equal == is_p_power(r, p)
+
+
 def test_gzeta_profile_symmetry():
     # Complementary subsets give opposite sums, so v and r - v agree.
     for p in (2, 3):
@@ -215,8 +234,10 @@ def test_gzeta_dim_p_power_matches_simple_character():
 def test_gzeta_validates():
     with pytest.raises(ValueError):
         gzeta_dim(5, 2)
-    with pytest.raises(ValueError):
-        gzeta_profile(9, 2)
+    # The profile refuses as c_sequence does, without calling it.
+    for r, p in ((9, 2), (4, 3), (0, 3), (-6, 3)):
+        with pytest.raises(ValueError, match=rf"^degree must be a positive multiple of {p}, got {r}$"):
+            gzeta_profile(r, p)
 
 
 # -- classification predicates -----------------------------------------
