@@ -39,29 +39,6 @@ def is_p_power(r: int, p: int) -> bool:
     return r == 1
 
 
-def _kronecker(left: list[int], right: list[int], p: int) -> list[int]:
-    """The Kronecker product of two lists of residues mod p: entry
-    i * len(right) + k is left[i] * right[k] % p.
-
-    Python loops only over the shorter factor.  Each of its entries m fills
-    its slice of the product from the other factor: a copy for m = 1,
-    nothing for m = 0 (the product starts as zeros), and otherwise a map
-    through a table on the other factor's distinct values.
-    """
-    width = len(right)
-    out = [0] * (len(left) * width)
-    by_row = width <= len(left)
-    scalars, other = (right, left) if by_row else (left, right)
-    multipliers = set(scalars) - {0, 1}
-    values = set(other) if multipliers else ()
-    tables = {m: {v: v * m % p for v in values}.__getitem__ for m in multipliers}
-    for k, m in enumerate(scalars):
-        if m:
-            place = slice(k, None, width) if by_row else slice(k * width, k * width + width)
-            out[place] = other if m == 1 else map(tables[m], other)
-    return out
-
-
 def _signed_digit_rows(r: int, p: int) -> Iterator[list[int]]:
     """The signed rows (-1)**k * C(n_i, k) mod p, k = 0 .. n_i, of the base-p
     digits n_i of n = r - 1, lowest digit first; every row but the top one is
@@ -100,19 +77,20 @@ def c_sequence(r: int, p: int) -> tuple[int, ...]:
     -1 = 1 mod 2.  So c is the Kronecker product of the signed digit rows
     (-1)**k * C(n_i, k) mod p for k = 0 .. n_i, taken from the top digit
     down, with every row but the top one padded with zeros to length p.
-    With the top digit n_m left unpadded, the product has
-    (n_m + 1) * p**m <= 2n entries before it is cut to r = n + 1.
+    It is built as one fold from the lowest digit up: once the rows of the
+    digits below i are in, the list has p**i entries, and row i puts its
+    entry k at the block k * p**i.  With the top digit n_m left unpadded,
+    the product has (n_m + 1) * p**m <= 2n entries before it is cut to
+    r = n + 1.
 
     Only this function builds the sequence; gzeta_profile reads the rows.
     """
     p = prime_char(p)
     r = operator.index(r)
-    rows = list(_signed_digit_rows(r, p))
-    seq = rows.pop()
-    for row in reversed(rows):
-        seq = _kronecker(seq, row, p)
-    del seq[r:]
-    return tuple(seq)
+    seq = [1]
+    for row in _signed_digit_rows(r, p):
+        seq = [a * b % p for b in row for a in seq]
+    return tuple(seq[:r])
 
 
 class GZetaProfile(NamedTuple):

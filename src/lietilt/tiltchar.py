@@ -161,17 +161,21 @@ class Decomposition(_DecompositionFields):
 
     Entries map highest weights to nonzero signed coefficients.  They are
     held in a read-only view, so a caller that keeps a decomposition cannot
-    change what another holder of it reads.
+    change what another holder of it reads.  The basis may be given by its
+    name, and it is stored as a Basis member; r and p are checked as
+    decompose checks them.
     """
 
     __slots__ = ()
 
-    def __new__(cls, basis: Basis, entries: Mapping[int, int], r: int, p: int) -> Decomposition:
-        return super().__new__(cls, basis, MappingProxyType(dict(entries)), r, p)
+    def __new__(cls, basis: Basis | str, entries: Mapping[int, int], r: int, p: int) -> Decomposition:
+        return super().__new__(
+            cls, Basis(basis), MappingProxyType(dict(entries)), at_least(r, 1, "degree"), prime_char(p)
+        )
 
     @classmethod
     def _make(cls, iterable) -> Decomposition:
-        # _replace builds through _make; copy the entries there too.
+        # _replace builds through _make; copy and check the fields there too.
         return cls(*iterable)
 
     def coefficient(self, m: int) -> int:

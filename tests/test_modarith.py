@@ -30,6 +30,7 @@ from lietilt.modarith import (
 from lietilt.report import theorem_37_report, theorem_a_report, theorem_c_report
 from lietilt.tiltchar import (
     Basis,
+    Decomposition,
     basis_char,
     char_simple,
     char_tilting,
@@ -109,6 +110,7 @@ TAKES_P = {
     "lie_tilting_decomp": lambda p: lie_tilting_decomp(6, p),
     "is_p_power": lambda p: is_p_power(8, p),
     "Partition2.is_p_regular": lambda p: Partition2(3, 3).is_p_regular(p),
+    "Decomposition": lambda p: Decomposition(Basis.TILTING, {2: 1}, 2, p),
 }
 
 
@@ -174,6 +176,7 @@ TAKES_DEGREE = {
     "SymCharacter.scale": lambda n: char_weyl(2).scale(n),
     "SymCharacter.scale_weights": lambda n: char_weyl(2).scale_weights(n),
     "SymCharacter.multiplicity": lambda n: char_weyl(2).multiplicity(n),
+    "Decomposition": lambda n: Decomposition(Basis.TILTING, {1: 1}, n, 2),
 }
 
 

@@ -75,3 +75,14 @@ def test_directly_built_decomposition_entries_are_read_only():
         swapped.entries[0] = 4
     assert swapped == (Basis.TILTING, {0: 3}, 2, 2)
     assert repr(dec) == "Decomposition(basis=<Basis.TILTING: 'tilting'>, entries=mappingproxy({2: 1}), r=2, p=2)"
+
+
+def test_decomposition_checks_its_fields_on_every_path():
+    dec = Decomposition("tilting", {3: 1}, 3, 2)
+    assert dec.basis is Basis.TILTING and dec.basis.value == "tilting"
+    assert dec._replace(basis="delta").basis is Basis.DELTA
+    for field, bad in (("basis", "nonsense"), ("p", 4), ("r", 0)):
+        with pytest.raises(ValueError):
+            Decomposition(**{**dec._asdict(), field: bad})
+        with pytest.raises(ValueError):
+            dec._replace(**{field: bad})
