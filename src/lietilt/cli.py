@@ -22,7 +22,7 @@ from .charring import ConsistencyError
 from .gzeta import gzeta_profile, theorem_b_predicate
 from .liechar import lie_tilting_decomp, stohr_pairs, stohr_tilting_decomp
 from .modarith import prime_char
-from .report import _theorem_a_rows, theorem_37_report, theorem_a_report, theorem_c_report
+from .report import theorem_37_report, theorem_a_report, theorem_c_report
 from .tiltchar import tensor_power_decomp
 
 __all__ = ["build_parser", "main"]
@@ -39,7 +39,7 @@ PROVENANCE = {
 }
 
 # Largest degree any --r, --r-min or --r-max accepts.  Work grows fast with r:
-# decompose-tensor --r 4096 --p 2 alone takes about 4 s (Intel Xeon, CPython 3.11).
+# decompose-tensor --r 4096 --p 2 alone takes about 3 s (2.6-3.5 s; 2-vCPU Intel Xeon, CPython 3.11.7).
 R_MAX = 4096
 
 
@@ -150,30 +150,25 @@ def payload_theorem_37(r: int, p: int) -> dict:
             "provenance": PROVENANCE["theorem-37"]}
 
 
+def _pick(payload: dict, *keys: str) -> dict:
+    return {key: payload[key] for key in keys}
+
+
 def payload_report_all(r: int, p: int) -> dict:
     classified = p == 2 and r > 6
-    # theorem_37_report is the same decomposition with the odd-degree check on top.
-    lie = theorem_37_report(r) if classified else lie_tilting_decomp(r, p)
-    out = {
+    # theorem-37 is the same Lie decomposition with the odd-degree check on top.
+    lie = payload_theorem_37(r, p) if classified else payload_lie(r, p)
+    # The Lie part runs first and the rest in key order, so a ConsistencyError names the first failing check.
+    return {
         "r": r,
         "p": p,
         "kind": "report-all",
-        "tensor": _entries_obj(tensor_power_decomp(r, p).entries),
-        "lie": {"entries": _entries_obj(lie.decomposition.entries), "verdict": lie.verdict.value},
-        "gzeta": None,
-        "theorem_a_certified": None,
-        "theorem_37_verdict": None,
+        "tensor": payload_tensor(r, p)["entries"],
+        "lie": _pick(lie, "entries", "verdict"),
+        "gzeta": None if r % p else _pick(payload_gzeta(r, p), "dim", "is_p_power"),
+        "theorem_a_certified": all(row.certified for row in theorem_a_report(r)) if classified else None,
+        "theorem_37_verdict": lie["verdict"] if classified else None,
     }
-    prof = None
-    if r % p == 0:
-        prof = gzeta_profile(r, p)
-        out["gzeta"] = {"dim": prof.dim, "is_p_power": prof.is_p_power}
-    if classified:
-        # The theorem-a near-top row takes its verdict from this degree's profile, as theorem-b does.
-        near_top = theorem_b_predicate(r, p) if prof is None else prof.near_top_summand
-        out["theorem_a_certified"] = all(row.certified for row in _theorem_a_rows(r, near_top))
-        out["theorem_37_verdict"] = lie.verdict.value
-    return out
 
 
 # name -> (help, --p mode, degree mode, payload), in --help order.  The --p mode

@@ -67,12 +67,7 @@ def theorem_a_report(r: int) -> list[TheoremARow]:
     summand, (s, 1) for odd r and (s, 2) for even r.
     """
     r = at_least(r, 7, "degree")
-    return _theorem_a_rows(r, theorem_b_predicate(r, 2))
-
-
-def _theorem_a_rows(r: int, near_top: bool) -> list[TheoremARow]:
-    """The rows of theorem_a_report, given theorem_b_predicate(r, 2): a
-    caller that already holds the degree's profile passes its verdict."""
+    near_top = theorem_b_predicate(r, 2)
     two_power = is_p_power(r, 2)
     top_zero = witt_weight_count(r, 0) == 0
     if r % 2:

@@ -163,15 +163,22 @@ class Decomposition(_DecompositionFields):
     held in a read-only view, so a caller that keeps a decomposition cannot
     change what another holder of it reads.  The basis may be given by its
     name, and it is stored as a Basis member; r and p are checked as
-    decompose checks them.
+    decompose checks them.  Every weight and coefficient must be an integer
+    (TypeError otherwise); a zero coefficient, or a weight outside 0..r or
+    of the other parity than r, raises ValueError.
     """
 
     __slots__ = ()
 
     def __new__(cls, basis: Basis | str, entries: Mapping[int, int], r: int, p: int) -> Decomposition:
-        return super().__new__(
-            cls, Basis(basis), MappingProxyType(dict(entries)), at_least(r, 1, "degree"), prime_char(p)
-        )
+        basis, r, p = Basis(basis), at_least(r, 1, "degree"), prime_char(p)
+        entries = {operator.index(w): operator.index(c) for w, c in dict(entries).items()}
+        for w, c in entries.items():
+            if not c:
+                raise ValueError(f"zero coefficient at weight {w}")
+            if not 0 <= w <= r or (r - w) % 2:
+                raise ValueError(f"weight {w} is outside 0..{r} or not of the parity of r={r}")
+        return super().__new__(cls, basis, MappingProxyType(entries), r, p)
 
     @classmethod
     def _make(cls, iterable) -> Decomposition:

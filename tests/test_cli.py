@@ -173,10 +173,9 @@ def test_theorem_b_range_builds_one_profile_per_even_degree(capsys, profiles_bui
     assert sequences_built == []
 
 
-def test_report_all_builds_one_profile_per_even_degree(capsys, profiles_built, sequences_built):
+def test_report_all_builds_no_sequence(capsys, sequences_built):
     assert main(["report-all", "--r-min", "7", "--r-max", "12"]) == 0
     capsys.readouterr()
-    assert profiles_built == [8, 10, 12]
     assert sequences_built == []
 
 
@@ -211,6 +210,38 @@ def test_report_all_range(capsys):
     assert payloads[3]["theorem_37_verdict"] == "tilting"
     assert payloads[3]["theorem_a_certified"] is True
     assert payloads[0]["theorem_37_verdict"] is None  # degree too small
+
+
+def _run_json(capsys, *argv):
+    assert main(list(argv)) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_report_all_fields_match_the_single_commands(p, capsys):
+    # report-all only puts side by side what the single-degree commands print.
+    reports = _run_json(capsys, "report-all", "--r-min", "1", "--r-max", "40", "--p", str(p))
+    assert [x["r"] for x in reports] == list(range(1, 41))
+    for report in reports:
+        r, degree = report["r"], ["--r", str(report["r"])]
+        classified = p == 2 and r > 6
+        assert report["tensor"] == _run_json(capsys, "decompose-tensor", *degree, "--p", str(p))["entries"]
+        if classified:
+            lie = _run_json(capsys, "theorem-37", *degree)
+        else:
+            lie = _run_json(capsys, "decompose-lie", *degree, "--p", str(p))
+        assert report["lie"] == {"entries": lie["entries"], "verdict": lie["verdict"]}
+        if r % p:
+            assert report["gzeta"] is None
+        else:
+            gzeta = _run_json(capsys, "gzeta", *degree, "--p", str(p))
+            assert report["gzeta"] == {"dim": gzeta["dim"], "is_p_power": gzeta["is_p_power"]}
+        if classified:
+            rows = _run_json(capsys, "theorem-a", *degree)["rows"]
+            assert report["theorem_a_certified"] is all(row["certified"] for row in rows)
+            assert report["theorem_37_verdict"] == lie["verdict"]
+        else:
+            assert report["theorem_a_certified"] is None and report["theorem_37_verdict"] is None
 
 
 def test_range_payloads_ascend(capsys):

@@ -86,3 +86,24 @@ def test_decomposition_checks_its_fields_on_every_path():
             Decomposition(**{**dec._asdict(), field: bad})
         with pytest.raises(ValueError):
             dec._replace(**{field: bad})
+
+
+
+def test_decomposition_refuses_bad_entries_on_every_path():
+    dec = Decomposition(Basis.TILTING, {3: 2, 1: -1}, 3, 2)
+    for bad in ({2.5: 1, 3: 0, 5: 1}, {3: 1.0}, {"3": 1}):
+        with pytest.raises(TypeError):
+            Decomposition(Basis.TILTING, bad, 3, 2)
+        with pytest.raises(TypeError):
+            dec._replace(entries=bad)
+    # A zero coefficient, a weight below 0 or above r, and weights of the other parity.
+    for bad in ({3: 0}, {-1: 1}, {5: 1}, {2: 1}, {0: 1}):
+        with pytest.raises(ValueError):
+            Decomposition(Basis.TILTING, bad, 3, 2)
+        with pytest.raises(ValueError):
+            dec._replace(entries=bad)
+    with pytest.raises(ValueError):
+        dec._replace(r=4)  # the weights 3 and 1 are odd
+    with pytest.raises(ValueError):
+        dec._replace(r=1)  # the weight 3 is above r
+    assert dec._replace(r=5).entries == {3: 2, 1: -1}
