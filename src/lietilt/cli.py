@@ -242,8 +242,10 @@ def _bool_str(value: bool) -> str:
 
 def _csv_rows(payload: dict) -> tuple[list[str], list[list]]:
     kind = payload["kind"]
-    if kind in ("tensor-power", "lie-power", "theorem-37"):
+    if kind in ("tensor-power", "lie-power"):
         return ["weight", "multiplicity"], [[m, c] for m, c in payload["entries"].items()]
+    if kind == "theorem-37":  # a range shares one header, so each row names its degree
+        return ["r", "weight", "multiplicity"], [[payload["r"], m, c] for m, c in payload["entries"].items()]
     if kind == "stohr":
         rows = []
         for x in payload["summands"]:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -109,6 +111,16 @@ def test_stohr_csv(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "s,t,mult,weight,multiplicity"
     assert all(line.startswith("1,2,") for line in lines[1:])
+
+
+def test_theorem_37_csv_names_each_degree(capsys):
+    # r = 7 and r = 9 both have odd weights, so a row without its degree is ambiguous.
+    assert main(["theorem-37", "--r-min", "7", "--r-max", "9", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    payloads = _run_json(capsys, "theorem-37", "--r-min", "7", "--r-max", "9")
+    assert rows == [["r", "weight", "multiplicity"]] + [
+        [str(x["r"]), m, str(c)] for x in payloads for m, c in x["entries"].items()
+    ]
 
 
 def test_theorem_a_payload(capsys):

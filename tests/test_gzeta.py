@@ -206,11 +206,17 @@ def test_gzeta_dim_known():
     assert gzeta_dim(2, 2) == 1
 
 
-def test_gzeta_dim_matches_tensor_space_oracle():
+def near_top_dims_off_the_oracle(p: int, r_max: int) -> dict[int, tuple[int, int]]:
+    """(gzeta_dim, tensor-space dimension) at each multiple r of p up to r_max where they differ."""
     # The oracle builds the submodule in V^(x)r itself, without the coefficient sequence.
+    dims = {r: (gzeta_dim(r, p), near_top_dim_in_tensor_space(r, p)) for r in range(p, r_max + 1, p)}
+    return {r: pair for r, pair in dims.items() if pair[0] != pair[1]}
+
+
+def test_gzeta_dim_matches_tensor_space_oracle():
+    # About r * 2**(r - 1) operations per degree; tests/slow_checks.py goes on to degree 20.
     for p in (2, 3, 5, 7, 11, 13):
-        for r in range(p, 17, p):
-            assert gzeta_dim(r, p) == near_top_dim_in_tensor_space(r, p), (r, p)
+        assert near_top_dims_off_the_oracle(p, 16) == {}, p
 
 
 def test_gzeta_dim_dichotomy():

@@ -310,6 +310,28 @@ def test_lie_tilting_decomp_even_degree_verdicts_char_two():
         assert lie_tilting_decomp(r, 2).verdict is Verdict.INCONCLUSIVE
 
 
+def lie_power_remainders_not_tilting(p: int, r_max: int) -> dict[int, dict[int, int]]:
+    """The tilting decompositions of ch L^(pk) - ch L^p(L^k), p not dividing k and
+    pk <= r_max, that have a negative coefficient."""
+    found = {}
+    for k in range(1, r_max // p + 1):
+        if k % p:
+            r = p * k
+            dec = decompose(char_lie_power(r) - lie_power_char(char_lie_power(k), p), Basis.TILTING, r, p)
+            if not dec.is_nonnegative:
+                found[r] = dict(dec.entries)
+    return found
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lie_power_remainder_is_tilting(p):
+    # Bryant and Schocker, "The decomposition of Lie powers" (Proc. LMS 93, 2006):
+    # for p not dividing k, L^(pk)(V) = L^p(L^k(V)) + B with B a summand of V^(x)pk,
+    # so B is tilting.  This checks the necklace characters and the tilting
+    # elimination against a theorem instead of another code path.
+    assert lie_power_remainders_not_tilting(p, 200) == {}
+
+
 def test_lie_tilting_decomp_validates():
     with pytest.raises(ValueError):
         lie_tilting_decomp(0, 2)

@@ -1,0 +1,69 @@
+"""Rules for the source tree as a whole: what src/lietilt may import, and
+which module may read the character layout."""
+
+from __future__ import annotations
+
+import ast
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PACKAGE = SRC / "lietilt"
+
+# Every subcommand in every format its parser offers: report-all renders json and pretty only.
+STDLIB_RUNS = [
+    f"{argv} --format {fmt}"
+    for argv in ("decompose-tensor --r 3 --p 2", "decompose-lie --r 4 --p 5", "stohr --r 9", "gzeta --r 9 --p 3",
+                 "theorem-a --r 9", "theorem-b --r 9 --p 3", "theorem-c --r 9 --p 3", "theorem-37 --r 9",
+                 "report-all --r-min 7 --r-max 9")
+    for fmt in ("json", "csv", "pretty")
+    if not (argv.startswith("report-all") and fmt == "csv")
+]
+
+STDLIB_CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from lietilt.cli import main
+codes = {}
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[argv] = main(argv.split())
+print(json.dumps(codes))
+"""
+
+
+def test_every_subcommand_and_renderer_runs_on_the_standard_library_alone():
+    # -I -S leave out site-packages and the environment, and only src is put on
+    # sys.path, so a non-stdlib import anywhere in the package, also one made
+    # only while rendering csv or pretty output, fails here.
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", STDLIB_CHILD, str(SRC), json.dumps(STDLIB_RUNS)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == dict.fromkeys(STDLIB_RUNS, 0), proc.stderr
+
+
+def test_only_charring_reads_the_character_layout():
+    # SymCharacter's row layout lives behind charring.py; every other module,
+    # and the oracles, go through SymCharacter.from_row and .row.
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "charring.py"]
+    found = [f"{path.relative_to(ROOT)}:{n}: {line.strip()}"
+             for path in paths + [ROOT / "tests" / "oracles.py"]
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"\._(top|row)\b", line)]
+    assert found == []
+
+
+def test_no_package_module_imports_another_private_name():
+    # A module's private helpers stay its own: the package builds on the public
+    # names of its modules only.  Tests may still import private helpers.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.relative_to(ROOT)}:{node.lineno}: from {'.' * node.level}{node.module or ''} "
+                          f"import {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert found == []
