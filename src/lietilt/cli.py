@@ -156,8 +156,7 @@ def _pick(payload: dict, *keys: str) -> dict:
 
 def payload_report_all(r: int, p: int) -> dict:
     classified = p == 2 and r > 6
-    # theorem-37 is the same Lie decomposition with the odd-degree check on top.
-    lie = payload_theorem_37(r, p) if classified else payload_lie(r, p)
+    lie = payload_lie(r, p)  # at p = 2 and r > 6 its entries and verdict are theorem-37's
     # The Lie part runs first and the rest in key order, so a ConsistencyError names the first failing check.
     return {
         "r": r,

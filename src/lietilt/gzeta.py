@@ -45,19 +45,16 @@ def _signed_digit_rows(r: int, p: int) -> Iterator[list[int]]:
     padded with zeros to length p.
 
     Each row is made by s_k = s_(k-1) * (k - 1 - n_i) / k in GF(p) from
-    s_0 = 1, except that the row of the digit p - 1 is all ones, since
-    (-1)**k * C(p - 1, k) = 1 mod p.  That digit is the lowest of r - 1 for
-    every r that p divides.  Expects p prime.  An r that is not a positive
-    multiple of p is refused when the first row is asked for.
+    s_0 = 1.  For the digit p - 1, the lowest of r - 1 for every r that p
+    divides, each factor (k - p) / k is 1 mod p, so that row comes out all
+    ones.  Expects p prime.  An r that is not a positive multiple of p is
+    refused when the first row is asked for.
     """
     if r < 1 or r % p:
         raise ValueError(f"degree must be a positive multiple of {p}, got {r}")
     n = r - 1
     while n:
         n, nd = divmod(n, p)
-        if nd == p - 1:
-            yield [1] * p
-            continue
         row = [1]
         for k in range(1, nd + 1):  # the entry at k - 1, times -(nd - k + 1) / k; k < p is a unit
             row.append(row[-1] * (k - 1 - nd) * pow(k, -1, p) % p)
@@ -145,9 +142,8 @@ class GZetaProfile(NamedTuple):
 
     @property
     def near_top_summand(self) -> bool:
-        """Whether the near-top submodule has full dimension r - 1, or r = p,
-        where the summand is known directly."""
-        return self.r == self.p or self.dim == self.r - 1
+        """Whether the near-top submodule has full dimension r - 1."""
+        return self.dim == self.r - 1
 
 
 def gzeta_profile(r: int, p: int) -> GZetaProfile:
@@ -184,8 +180,7 @@ def theorem_b_predicate(r: int, p: int) -> bool:
     the degree-r Lie power.
 
     Immediate when p does not divide r; otherwise decided by whether the
-    near-top submodule has full dimension r - 1 (or r = p, where the
-    summand is known directly).
+    near-top submodule has full dimension r - 1.
     """
     p = prime_char(p)
     r = at_least(r, 2, "degree")

@@ -128,8 +128,7 @@ def stohr_pairs(r: int) -> list[StohrSummand]:
     Empty when no solution exists (r = 4 and r = 6); degrees below 4 are
     rejected because the splitting starts there.
     """
-    if r <= 3:
-        raise ValueError(f"the bidegree splitting needs degree >= 4, got {r}")
+    r = at_least(r, 4, "degree")
     return [stohr_summand((r - 3 * t) // 2, t) for t in range(2 - r % 2, (r - 2) // 3 + 1, 2)]
 
 

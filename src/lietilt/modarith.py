@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 from typing import Sequence
 
 # ConsistencyError is defined here, below every other module, and exported
@@ -38,7 +37,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
 
-@lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
     if n >= _MR_LIMIT:
         raise ValueError(f"characteristic must be below {_MR_LIMIT}, got {n}")

@@ -21,7 +21,6 @@ from .charring import ConsistencyError, Partition2, two_row_partitions
 from .gzeta import is_p_power, theorem_b_predicate
 from .liechar import (
     LieDecompReport,
-    Verdict,
     char_lie_power,
     lie_tilting_decomp,
     stohr_summand,
@@ -172,13 +171,10 @@ def theorem_c_report(r: int, p: int) -> list[TheoremCRow]:
 def theorem_37_report(r: int) -> LieDecompReport:
     """Tilting status of the degree-r Lie power in characteristic 2.
 
-    Odd degrees must come back tilting (anything else is a fatal internal
-    inconsistency); even degrees are either certified non-tilting by a
+    This is lie_tilting_decomp(r, 2) for r > 6.  Odd degrees come back
+    tilting, as lie_tilting_decomp refuses a negative coefficient when p
+    does not divide r; even degrees are either certified non-tilting by a
     negative coefficient or left inconclusive, never reported tilting.
     """
-    r = at_least(r, 7, "degree")
-    rep = lie_tilting_decomp(r, 2)
-    if r % 2 and rep.verdict is not Verdict.TILTING:
-        raise ConsistencyError(f"odd degree {r} did not come back tilting")
-    return rep
+    return lie_tilting_decomp(at_least(r, 7, "degree"), 2)
 

@@ -1,0 +1,74 @@
+"""Mutation checks: each entry breaks one kernel of the package on purpose,
+and names the test file that must catch it.
+
+The file name does not match test_*.py, so a plain `pytest` run never
+collects this module; run it by path:
+
+    PYTHONPATH=src python -m pytest -q tests/mutants.py
+
+An entry is (file under src/lietilt, old text, new text, test file).  Its
+test copies src/ to a temporary directory, replaces the one occurrence of
+the old text in the copy, and runs the named test file against the copy;
+that run must fail.  A claim that a test catches a mutation belongs here as
+an entry.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MUTANTS = {
+    # u = v pairs put 2ab at weight 0, not ab.
+    "mul-weight-0-orbit": ("charring.py", "+= xy if u != v else xy + xy", "+= xy", "test_charring.py"),
+    # Donkin: each factor n of T(b) gives p*n + p - 1 + a and p*n + p - 1 - a.
+    "donkin-shift-sign": ("tiltchar.py", "shifts = (a, -a) if a else (0,)", "shifts = (a, a) if a else (0,)",
+                          "test_tiltchar.py"),
+    "miller-recurrence": ("modarith.py", "acc += (fixed - k * c) * row[k - i]", "acc += (fixed + k * c) * row[k - i]",
+                          "test_modarith.py"),
+    # A tilting step must subtract every Weyl factor of T(w).
+    "tilting-step-two-factors": ("tiltchar.py", "for u in tilting_weyl_factors(w, p) if",
+                                 "for u in tilting_weyl_factors(w, p)[:2] if", "test_tiltchar.py"),
+    "stohr-recurrence": ("liechar.py", "(n2 - (k - 3)) * q3", "(n2 - 2 * (k - 3)) * q3", "test_liechar.py"),
+    "lucas-recurrence": ("gzeta.py", "row[-1] * (k - 1 - nd) * pow(k, -1, p)", "row[-1] * (k - nd) * pow(k, -1, p)",
+                         "test_gzeta.py"),
+    # The profile must see every entry of a row, not only the last one.
+    "profile-one-entry-per-row": ("gzeta.py", "all(set(row) == {1} for row in", "all(row[-1] == 1 for row in",
+                                  "test_gzeta.py"),
+    "necklace-divisibility": ("liechar.py", "        if rem:\n            raise ConsistencyError(f\"necklace sum",
+                              "        if False:\n            raise ConsistencyError(f\"necklace sum",
+                              "test_liechar.py"),
+    # The near-top row is certified when the engine agrees with the expectation, also when both say no.
+    "theorem-a-certification": ("report.py", "certified = near_top == expected", "certified = near_top",
+                                "test_report.py"),
+    # Each band of T(m) needs multiplicity k, not only a nonzero one.
+    "char-consistent-band": ("report.py", "top // 2 + 1]) >= k for", "top // 2 + 1]) >= 1 for", "test_report.py"),
+    # Every positive weight of r's parity must occur in the tensor power, not only stay non-negative.
+    "tensor-positivity": ("tiltchar.py", "any(dec.coefficient(m) <= 0 for", "any(dec.coefficient(m) < 0 for",
+                          "test_tiltchar.py"),
+}
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_mutant_fails_its_test_file(name, tmp_path):
+    module, old, new, test_file = MUTANTS[name]
+    src = tmp_path / "src"
+    # Without the bytecode caches, since a mutant of the same length and mtime would load the old bytecode.
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "lietilt" / module
+    text = path.read_text()
+    assert text.count(old) == 1, f"{old!r} occurs {text.count(old)} times in {module}"
+    path.write_text(text.replace(old, new))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", str(ROOT / "tests" / test_file)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=600,
+    )
+    # Exit code 1 is a failed test; 2 and above mean the run broke before testing anything.
+    assert proc.returncode == 1, proc.stdout[-3000:] + proc.stderr[-3000:]

@@ -368,6 +368,8 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     assert main(["theorem-c", "--r", "6", "--p", "3"]) == 2  # near-top row is no exception at m = 1
     assert main(["decompose-tensor", "--r", "3", "--p", str(2**89 - 1)]) == 2  # prime beyond the exact test
     capsys.readouterr()
+    assert main(["stohr", "--r", "3"]) == 2  # the bidegree splitting starts at degree 4
+    assert capsys.readouterr().err == "error: degree must be at least 4, got 3\n"
     missing = tmp_path / "missing" / "x.json"
     assert main(["decompose-tensor", "--r", "3", "--p", "2", "--out", str(missing)]) == 2  # I/O error
     err = capsys.readouterr().err
@@ -433,8 +435,8 @@ def test_exit_code_table(argv, stdout, code, tmp_path, capsys, monkeypatch):
 
 
 def test_memo_policy():
-    # Only the tilting factor table and the primality test are memoized; everything
-    # else is computed afresh, so no caller can see another caller's result.
+    # Only the tilting factor table is memoized; everything else is computed
+    # afresh, so no caller can see another caller's result.
     memoized = set()
     for module in (lietilt.charring, lietilt.cli, lietilt.gzeta, lietilt.liechar, lietilt.modarith,
                    lietilt.report, lietilt.tiltchar):
@@ -442,7 +444,7 @@ def test_memo_policy():
         for scope in scopes:
             memoized |= {name for name, obj in scope.items()
                          if hasattr(obj, "cache_info") and obj.__module__ == module.__name__}
-    assert memoized == {"tilting_weyl_factors", "_is_prime"}
+    assert memoized == {"tilting_weyl_factors"}
 
 
 def test_package_exports_each_name_once():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lietilt.charring import Partition2, SymCharacter
-from lietilt.liechar import Verdict, char_lie_power
+from lietilt.liechar import Verdict, char_lie_power, lie_tilting_decomp
 from lietilt.report import (
     Evidence,
     TheoremCClause,
@@ -210,6 +210,13 @@ def test_theorem_37_report_sweep():
         assert theorem_37_report(r).verdict is Verdict.TILTING
     for r in range(8, 25, 2):
         assert theorem_37_report(r).verdict is not Verdict.TILTING
+
+
+def test_theorem_37_report_is_the_characteristic_2_lie_decomposition():
+    # report-all takes its theorem-37 verdict from decompose-lie's payload, so the two must agree.
+    for r in range(7, 81):
+        rep, lie = theorem_37_report(r), lie_tilting_decomp(r, 2)
+        assert (rep.decomposition, rep.verdict) == (lie.decomposition, lie.verdict), r
 
 
 def test_theorem_37_report_validates():

@@ -340,7 +340,7 @@ def test_tensor_power_decomp_known():
 
 
 def test_tensor_power_decomp_entries_read_only():
-    # The decomposition is memoized, so a caller's write must not reach the next caller.
+    # The entries are a read-only view, so a caller's write cannot reach another holder.
     with pytest.raises(TypeError):
         tensor_power_decomp(3, 2).entries[3] = 99
     assert tensor_power_decomp(3, 2).entries == {3: 1, 1: 2}
@@ -356,6 +356,13 @@ def test_tensor_power_decomp_support_pattern():
             expect = set(weight_set(r)) | ({0} if r % 2 == 0 else set())
             assert set(ent) == expect
             assert all(c > 0 for c in ent.values())
+
+
+def test_tensor_power_decomp_refuses_a_missing_weight(monkeypatch):
+    # T(5) alone decomposes as {5: 1}: no negative coefficient, but no summand at weights 3 and 1.
+    monkeypatch.setattr("lietilt.tiltchar.natural_power_char", lambda r: char_tilting(r, 2))
+    with pytest.raises(ConsistencyError, match="violated positivity at r=5, p=2"):
+        tensor_power_decomp(5, 2)
 
 
 def test_tensor_power_decomp_dimension_conservation():
