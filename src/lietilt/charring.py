@@ -32,6 +32,11 @@ __all__ = [
     "weight_set",
 ]
 
+# Largest top weight the mapping adapter and scale_weights accept.  Both
+# allocate a row of top // 2 + 1 entries from a small input, so a bound is
+# checked before the row exists; the CLI never builds a top above 4096.
+_TOP_MAX = 2**20
+
 
 class SymCharacter:
     """An integer weight-multiplicity function, symmetric under negation,
@@ -48,6 +53,8 @@ class SymCharacter:
         if len({w & 1 for w, c in half.items() if c}) > 1:
             raise ValueError("weights of mixed parity in one character")
         top = max((w for w, c in half.items() if c), default=None)
+        if top is not None:
+            _check_top(top)
         self._top, self._row = top, () if top is None else tuple(half.get(w, 0) for w in range(top, -1, -2))
 
     @classmethod
@@ -146,7 +153,7 @@ class SymCharacter:
         k = at_least(k, 1, "weight scale")
         if not self._row:
             return self
-        out = [0] * (k * self._top // 2 + 1)
+        out = [0] * (_check_top(k * self._top) // 2 + 1)
         out[::k] = self._row
         return _trimmed(k * self._top, tuple(out))
 
@@ -165,6 +172,12 @@ class SymCharacter:
     def __repr__(self) -> str:
         inner = ", ".join(f"{w}: {self.multiplicity(w)}" for w in self.support)
         return f"SymCharacter({{{inner}}})"
+
+
+def _check_top(top: int) -> int:
+    if top > _TOP_MAX:
+        raise ValueError(f"top weight must not exceed {_TOP_MAX}, got {top}")
+    return top
 
 
 def _trimmed(top: int | None, row: tuple[int, ...]) -> SymCharacter:

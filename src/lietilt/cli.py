@@ -235,53 +235,50 @@ def _dispatch(args: argparse.Namespace):
     return payloads[0] if single else payloads
 
 
-def _bool_str(value: bool) -> str:
-    return "true" if value else "false"
+# kind -> csv header, each column a field of every record _records gives.  report-all
+# has no single row shape, so its parser offers no csv.
+CSV_COLUMNS = {
+    "tensor-power": ("weight", "multiplicity"),
+    "lie-power": ("weight", "multiplicity"),
+    "stohr": ("s", "t", "mult", "weight", "multiplicity"),
+    "gzeta": ("r", "p", "dim", "is_p_power"),
+    "theorem-a": ("lambda1", "lambda2", "expected", "evidence", "certified"),
+    "theorem-b": ("r", "p", "holds", "gzeta_dim"),
+    "theorem-c": ("lambda1", "lambda2", "clause", "claimed", "char_consistent"),
+    "theorem-37": ("r", "weight", "multiplicity"),  # a range shares one header, so each row names its degree
+}
 
 
-def _csv_rows(payload: dict) -> tuple[list[str], list[list]]:
-    kind = payload["kind"]
-    if kind in ("tensor-power", "lie-power"):
-        return ["weight", "multiplicity"], [[m, c] for m, c in payload["entries"].items()]
-    if kind == "theorem-37":  # a range shares one header, so each row names its degree
-        return ["r", "weight", "multiplicity"], [[payload["r"], m, c] for m, c in payload["entries"].items()]
-    if kind == "stohr":
-        rows = []
-        for x in payload["summands"]:
-            for m, c in x["entries"].items():
-                rows.append([x["s"], x["t"], x["mult"], m, c])
-        return ["s", "t", "mult", "weight", "multiplicity"], rows
-    if kind == "gzeta":
-        return ["r", "p", "dim", "is_p_power"], [
-            [payload["r"], payload["p"], payload["dim"], _bool_str(payload["is_p_power"])]
-        ]
-    if kind == "theorem-a":
-        return ["lambda1", "lambda2", "expected", "evidence", "certified"], [
-            [row["lambda1"], row["lambda2"], _bool_str(row["expected"]), row["evidence"], _bool_str(row["certified"])]
-            for row in payload["rows"]
-        ]
-    if kind == "theorem-b":
-        dim = payload["gzeta_dim"]
-        return ["r", "p", "holds", "gzeta_dim"], [
-            [payload["r"], payload["p"], _bool_str(payload["holds"]), "" if dim is None else dim]
-        ]
-    # theorem-c: report-all, the one other kind, gets no csv from the parser.
-    return ["lambda1", "lambda2", "clause", "claimed", "char_consistent"], [
-        [row["lambda1"], row["lambda2"], row["clause"], _bool_str(row["claimed"]), _bool_str(row["char_consistent"])]
-        for row in payload["rows"]
-    ]
+def _text(value):
+    """A field as csv and pretty print it: a bool as true/false.  csv writes None as an empty cell."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
+
+
+def _records(payload: dict) -> list[dict]:
+    """The flat records of a payload: its rows, one per weight of its entries
+    (or of each Stohr summand's, with that summand's fields), or itself."""
+    if "rows" in payload:
+        return payload["rows"]
+    if "entries" not in payload and "summands" not in payload:
+        return [payload]
+    return [{**group, "weight": m, "multiplicity": c}
+            for group in payload.get("summands", [payload]) for m, c in group["entries"].items()]
 
 
 def render_csv(payload) -> str:
     payloads = payload if isinstance(payload, list) else [payload]
+    columns = CSV_COLUMNS[payloads[0]["kind"]]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    for i, item in enumerate(payloads):
-        head, rows = _csv_rows(item)
-        if not i:
-            writer.writerow(head)
-        writer.writerows(rows)
+    writer.writerow(columns)
+    writer.writerows([_text(record[c]) for c in columns] for item in payloads for record in _records(item))
     return buf.getvalue()
+
+
+def _entries_text(entries: dict) -> str:
+    return ", ".join(f"{m}:{c}" for m, c in entries.items())
 
 
 def _pretty_block(payload: dict) -> list[str]:
@@ -293,47 +290,37 @@ def _pretty_block(payload: dict) -> list[str]:
         lines = [head]
         lines += [f"  {m:>4}  {c}" for m, c in payload["entries"].items()]
         return lines
+    if "rows" in payload:  # theorem-a and theorem-c: each row prints its partition, then its other fields
+        title = "summand" if kind == "theorem-a" else "odd-characteristic"
+        lines = [f"r={payload['r']} p={payload['p']} {title} classification"]
+        for row in payload["rows"]:
+            fields = " ".join(f"{key}={_text(value)}" for key, value in row.items()
+                              if key not in ("lambda1", "lambda2"))
+            lines.append(f"  ({row['lambda1']},{row['lambda2']}) {fields}")
+        return lines
     if kind == "stohr":
         lines = [f"r={payload['r']} p=2 bidegree summands"]
         for x in payload["summands"]:
-            entries = ", ".join(f"{m}:{c}" for m, c in x["entries"].items())
-            lines.append(f"  (s={x['s']}, t={x['t']}) mult={x['mult']}  {entries}")
+            lines.append(f"  (s={x['s']}, t={x['t']}) mult={x['mult']}  {_entries_text(x['entries'])}")
         if not payload["summands"]:
             lines.append("  (none)")
         return lines
     if kind == "gzeta":
-        return [f"r={payload['r']} p={payload['p']} gzeta dim={payload['dim']} "
-                f"p-power={_bool_str(payload['is_p_power'])}"]
-    if kind == "theorem-a":
-        lines = [f"r={payload['r']} p=2 summand classification"]
-        for row in payload["rows"]:
-            lines.append(f"  ({row['lambda1']},{row['lambda2']}) expected={_bool_str(row['expected'])} "
-                         f"evidence={row['evidence']} certified={_bool_str(row['certified'])}")
-        return lines
+        return [f"r={payload['r']} p={payload['p']} gzeta dim={payload['dim']} p-power={_text(payload['is_p_power'])}"]
     if kind == "theorem-b":
         dim = payload["gzeta_dim"]
         tail = "" if dim is None else f" gzeta_dim={dim}"
-        return [f"r={payload['r']} p={payload['p']} near-top summand holds={_bool_str(payload['holds'])}{tail}"]
-    if kind == "theorem-c":
-        lines = [f"r={payload['r']} p={payload['p']} odd-characteristic classification"]
-        for row in payload["rows"]:
-            lines.append(f"  ({row['lambda1']},{row['lambda2']}) clause={row['clause']} "
-                         f"claimed={_bool_str(row['claimed'])} char_consistent={_bool_str(row['char_consistent'])}")
-        return lines
-    if kind == "report-all":
-        lines = [f"r={payload['r']} p={payload['p']} report"]
-        lines.append("  tensor: " + ", ".join(f"{m}:{c}" for m, c in payload["tensor"].items()))
-        lie = payload["lie"]
-        lines.append("  lie:    " + ", ".join(f"{m}:{c}" for m, c in lie["entries"].items())
-                     + f"  verdict={lie['verdict']}")
-        if payload["gzeta"] is not None:
-            lines.append(f"  gzeta:  dim={payload['gzeta']['dim']} "
-                         f"p-power={_bool_str(payload['gzeta']['is_p_power'])}")
-        if payload["theorem_37_verdict"] is not None:
-            lines.append(f"  theorem-a certified={_bool_str(payload['theorem_a_certified'])} "
-                         f"theorem-37 verdict={payload['theorem_37_verdict']}")
-        return lines
-    raise ValueError(f"pretty output is not available for {kind}")
+        return [f"r={payload['r']} p={payload['p']} near-top summand holds={_text(payload['holds'])}{tail}"]
+    # report-all
+    lines = [f"r={payload['r']} p={payload['p']} report", "  tensor: " + _entries_text(payload["tensor"])]
+    lie = payload["lie"]
+    lines.append(f"  lie:    {_entries_text(lie['entries'])}  verdict={lie['verdict']}")
+    if payload["gzeta"] is not None:
+        lines.append(f"  gzeta:  dim={payload['gzeta']['dim']} p-power={_text(payload['gzeta']['is_p_power'])}")
+    if payload["theorem_37_verdict"] is not None:
+        lines.append(f"  theorem-a certified={_text(payload['theorem_a_certified'])} "
+                     f"theorem-37 verdict={payload['theorem_37_verdict']}")
+    return lines
 
 
 def render(payload, fmt: str) -> str:

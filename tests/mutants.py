@@ -53,6 +53,12 @@ MUTANTS = {
     # Every positive weight of r's parity must occur in the tensor power, not only stay non-negative.
     "tensor-positivity": ("tiltchar.py", "any(dec.coefficient(m) <= 0 for", "any(dec.coefficient(m) < 0 for",
                           "test_tiltchar.py"),
+    # The csv and pretty layouts, each caught by the per-layout sha256 of test_cli.py.
+    "csv-columns-swapped": ("cli.py", '"clause", "claimed", "char_consistent"),',
+                            '"clause", "char_consistent", "claimed"),', "test_cli.py"),
+    "csv-python-bools": ("cli.py", "writerows([_text(record[c]) for c", "writerows([record[c] for c", "test_cli.py"),
+    "row-rule-repeats-lambda2": ("cli.py", 'if key not in ("lambda1", "lambda2"))', 'if key != "lambda1")',
+                                 "test_cli.py"),
 }
 
 

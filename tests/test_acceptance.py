@@ -34,7 +34,7 @@ from lietilt.tiltchar import (
     weyl_twist_identity,
 )
 
-from oracles import free_lie_dim, subset_sum_nonzero
+from oracles import c_sequence_by_binomials, free_lie_dim, subset_sum_nonzero
 
 PRIMES = (2, 3, 5)
 
@@ -64,7 +64,7 @@ def test_criterion_2_subset_sum_oracle():
         start = time.perf_counter()
         for p in (2, 3, 5, 7, 11, 13):
             for r in range(p, 17, p):
-                coeffs = c_sequence(r, p)
+                coeffs = c_sequence_by_binomials(r, p)  # one binomial per entry, not the digit rows
                 for v in range(1, r + 1):
                     assert weight_nonzero(r, p, v) == subset_sum_nonzero(coeffs, v, p)
         assert time.perf_counter() - start < 30.0

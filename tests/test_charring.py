@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lietilt.charring import (
+    _TOP_MAX,
     Partition2,
     SymCharacter,
     lambda_of,
@@ -120,6 +122,23 @@ def test_scale_weights():
     assert chi.scale_weights(1) == chi
     with pytest.raises(ValueError):
         chi.scale_weights(0)
+
+
+def test_top_weight_above_the_bound_is_refused_before_its_row_exists():
+    assert SymCharacter({-_TOP_MAX: 1}).max_weight == _TOP_MAX
+    chi = SymCharacter({_TOP_MAX // 4: 1})
+    assert chi.scale_weights(4).max_weight == _TOP_MAX
+    # Either row would hold about 2**19 entries, some 4 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"top weight must not exceed {_TOP_MAX}, got {_TOP_MAX + 2}"):
+            SymCharacter({_TOP_MAX + 2: 1})
+        with pytest.raises(ValueError, match=f"top weight must not exceed {_TOP_MAX}, got {5 * _TOP_MAX // 4}"):
+            chi.scale_weights(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 # -- algebraic laws (property-based) ------------------------------------

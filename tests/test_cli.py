@@ -80,6 +80,79 @@ def test_golden_sha256_large(argv, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_SHA256[argv]
 
 
+# sha256 of the stdout of every subcommand in every format its parser offers
+# (report-all renders json and pretty only), recorded before csv and pretty
+# output were rendered from one column table and one partition-row rule.  The
+# runs cover one degree and a range, a Stohr degree with no summands, a
+# theorem-b degree that p does not divide (gzeta_dim is null), theorem-c
+# clauses i to iv (r = 25, 9, 10, 18) and report-all at p = 2 and p = 3.
+LAYOUT_SHA256 = dict(line.rsplit(" ", 1) for line in """
+decompose-tensor --r 3 --p 2 --format json 3fb1a0005cba04cadd3fce70f7c1c0e5687874ba0f507f878dc5b32ecf62c60e
+decompose-tensor --r 3 --p 2 --format csv a611ba1304e7958ed015e7647450145895123398866951057fda2baf39b7ab4b
+decompose-tensor --r 3 --p 2 --format pretty f42ddcfe1110780041682f02e29d3c3c6ca804e70f5d860a6143a10b3e777d8f
+decompose-lie --r 4 --p 5 --format json 408c34fa05708817996cecc60b02f1166b8deb7b026238e39e8c327b87bee019
+decompose-lie --r 4 --p 5 --format csv 25d959c8c711af39eb9dda05d0f70aca735f401bfb559c837647c811d58429a2
+decompose-lie --r 4 --p 5 --format pretty e5fe027497b2cbbe165a5be8f64b84eb03564d0b289026436c64bff8e6ee4ece
+decompose-lie --r 8 --p 2 --format json 78f30f1aff28a8ad6261123663fdda31ff56af7217e0df2ace716ac6e7a45ad9
+decompose-lie --r 8 --p 2 --format csv 480b5adeb1c626eb3c06ae34385456951726aaef2c69463887f8459140e66bf6
+decompose-lie --r 8 --p 2 --format pretty e633ad0791b7cd3c4eabc709ce8d9d0dd698d567570f4288f36c6f1a76d77d33
+stohr --r 9 --format json 2bebbf63aaf09c04000d13443a2fd0dea6d5cff1f4a76885758866e89cf7fdb0
+stohr --r 9 --format csv 16c5ca90fd158d0275c440a456a36e962b2d9ebbb0c0bb897da97e2028ad8472
+stohr --r 9 --format pretty e67d95c66519f0ed9cd35beddda4e6629aa8cc556084b4a4a73ffa842c8acb63
+stohr --r 4 --format json 863389871566e02ab0f90d549978d9c1f87a91591b43f250c045948db9f20754
+stohr --r 4 --format csv d5e9e70ba179b4e18c8be092c7e93a29cc8f6557fedb00476eb604772fbc2b43
+stohr --r 4 --format pretty 85945e9c8631f5c26ef898e28c5ed239cbc6282bb92c3c94f8e949a813ef0be0
+gzeta --r 9 --p 3 --format json 5c08e5dbe4f224fb61bc709accffa1155873c05b0ec7a6c8341ec08cb60a0427
+gzeta --r 9 --p 3 --format csv 6a352e9091549af922516022191993687dc845fc9fc0f24527f818b4488600fc
+gzeta --r 9 --p 3 --format pretty f95287bfabb33168bc4dfe7931e5a5da75b596d341855e78072ad1e40d65b83d
+theorem-a --r 9 --format json f47eab9f35996368b02255422e92b1d1833ddb1f533d619152a2933825a84e8d
+theorem-a --r 9 --format csv 2b8537c8bd018c975bff6b71cb6a7e17d7e2d142c3f37d5c7233a7aea851a705
+theorem-a --r 9 --format pretty 3a88fab4f06e6b5df3f1893b6048b405f0d337c12dee6bacab86bfaa3e891a6c
+theorem-a --r-min 7 --r-max 9 --format json 0b2f17aa1371a37ac7f45555f9b375ceaa2a56655a8c74a18648654a9826cd19
+theorem-a --r-min 7 --r-max 9 --format csv 68a76464ba9fd2d657e223f73aadca5bbfa1f3a933ba3e56a329bcf8183e9dd7
+theorem-a --r-min 7 --r-max 9 --format pretty b7461787b23d9fa8f7b8df8f4cd9645e17de21099471d98f2a2eecca8cbddec8
+theorem-b --r 9 --p 3 --format json b07e340efc81157c056a569a7dd4fbc092702d816f3b4eae67d288b698ac4943
+theorem-b --r 9 --p 3 --format csv d771032895d13d6698241da9042c84e6c9212a7d45f6479bd3209c041ae91a5d
+theorem-b --r 9 --p 3 --format pretty a05999eec72692a8d2ff01daf4a8671acd9375db49f0601a46a1d7f6f5593b7c
+theorem-b --r 10 --p 3 --format json 0491117ec5d4288097e932189d7a2a380e0bb3b27cd1a821a1053cc4bd009343
+theorem-b --r 10 --p 3 --format csv 7ab4165d551f4559670594b6e24c8d3eb4aeff7a8c2e95385067da7a21c5587d
+theorem-b --r 10 --p 3 --format pretty 8450ad0bc6249ee3160d7092175eeb98a08124b68c71f0e3aa97a0ac68ff68f2
+theorem-b --r-min 2 --r-max 9 --p 3 --format json b98bf31ab3400551fa79c262929093f792b05a4fffb1a90568b812880f51f44a
+theorem-b --r-min 2 --r-max 9 --p 3 --format csv f82d1db08862331070d0823024efe8b77fe30628cbddc332e4c78fbf7d9ab61d
+theorem-b --r-min 2 --r-max 9 --p 3 --format pretty 7c6e090dbee25d415f53406cb13738e01f95fba47ddb4d2fed4448e8cf080dad
+theorem-c --r 25 --p 5 --format json 70d667370c521e4ea838a25183c2387067c10ff55157d9d6b235d9aed826ff3f
+theorem-c --r 25 --p 5 --format csv 18b38028f439ccc6ffc9e9ab9e34c10f965bca0ec5b3a597a594098c58f81eb8
+theorem-c --r 25 --p 5 --format pretty 76dd6b66e6e17b6bf59885966ae1bd859aa09cea5a42752aab2a1ba8d8c2930c
+theorem-c --r 9 --p 3 --format json 00ff46d4cf902a890a42b366138b25d7523fdd9f9f58250dd7bdf327b49c669f
+theorem-c --r 9 --p 3 --format csv 171a9183918badfaa6c179505ddda74e65eae5d9dfae0e5d613408cf0a12ca4f
+theorem-c --r 9 --p 3 --format pretty 6b372d977bec347ef32265a8e2e18aed405eea6d4c21f20d37463dfdb96beef6
+theorem-c --r 10 --p 5 --format json 405a853e6274c472dbfd263e0309a36fe322eb78a668a4cbe54ee0188ff2c0a6
+theorem-c --r 10 --p 5 --format csv fd47bfd92de90e32136767445f9b9d8ad323f0be000aa51dc1efe8215db8184b
+theorem-c --r 10 --p 5 --format pretty ff6c04e5337df6d6450bbacae5801b0a5b4393583c5ec5db6d43be0c2f788307
+theorem-c --r 18 --p 3 --format json 6653850989aab0477821aff77e4977ad41e77769168aac4d2328cfd3c2daa640
+theorem-c --r 18 --p 3 --format csv 27f5aec2e30156c7816db981a19dc3f810d7712897d1b7577a1459285737192a
+theorem-c --r 18 --p 3 --format pretty c33d178fa245b63c9d73a8d3dbe8066e750681be2f73fa5f8263381d3095aa2c
+theorem-37 --r 9 --format json 1131c1352345264c06211a4c3b8e10989c3172d19b1062527731446701a3b6b5
+theorem-37 --r 9 --format csv bb221426691ea0b4601c7bacd637c80cd8765e04cd1c58dc2fe30bbb2ce87f8f
+theorem-37 --r 9 --format pretty ebd04e285319a991811a38f03675e41217e6976608046c576ce1eddea1480ce6
+theorem-37 --r-min 7 --r-max 9 --format json 619211680825fcea1341a5ba9e818b75bd75a65c54753cc7b5a7ccd5dc7ad7b1
+theorem-37 --r-min 7 --r-max 9 --format csv 87fac98a7887ae8bf3e8a084dbbcb2129830f7f324b5b70a7871acf50dea883f
+theorem-37 --r-min 7 --r-max 9 --format pretty 0fb9dcf552af7d1d694b91776f2b8310f3d4dbbd0064d5954152e5adb58b57fb
+report-all --r-min 7 --r-max 9 --format json 58aeed8be06ffb6483a296a06cca177e66baae5adb783b918612a073fffa214f
+report-all --r-min 7 --r-max 9 --format pretty 11f1bf315c3ab396505418940d80c8a52ecbaa3a68835750227568cc11dbde04
+report-all --r-min 7 --r-max 9 --p 3 --format json d88cd10221334112078e8a1e47bcda5c5ab2d4baa448f76db8855215f5b2f052
+report-all --r-min 7 --r-max 9 --p 3 --format pretty 015671c49c5603ed8162d71c8447d48012d9724a59f69b16174bcae8bac6aea6
+""".splitlines() if line)
+
+
+@pytest.mark.parametrize("argv", list(LAYOUT_SHA256))
+def test_every_layout_byte_for_byte(argv, capsys):
+    assert main(argv.split()) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == LAYOUT_SHA256[argv]
+
+
 # -- per-command payloads ----------------------------------------------
 
 

@@ -10,19 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_cli import LAYOUT_SHA256
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "lietilt"
 
-# Every subcommand in every format its parser offers: report-all renders json and pretty only.
-STDLIB_RUNS = [
-    f"{argv} --format {fmt}"
-    for argv in ("decompose-tensor --r 3 --p 2", "decompose-lie --r 4 --p 5", "stohr --r 9", "gzeta --r 9 --p 3",
-                 "theorem-a --r 9", "theorem-b --r 9 --p 3", "theorem-c --r 9 --p 3", "theorem-37 --r 9",
-                 "report-all --r-min 7 --r-max 9")
-    for fmt in ("json", "csv", "pretty")
-    if not (argv.startswith("report-all") and fmt == "csv")
-]
+# Every subcommand in every format its parser offers, the runs whose stdout test_cli pins.
+STDLIB_RUNS = list(LAYOUT_SHA256)
 
 STDLIB_CHILD = """
 import contextlib, io, json, sys
