@@ -20,7 +20,7 @@ import sys
 
 from .charring import ConsistencyError
 from .gzeta import gzeta_profile, theorem_b_predicate
-from .liechar import lie_tilting_decomp, stohr_pairs, stohr_tilting_decomp
+from .liechar import LieDecompReport, lie_tilting_decomp, stohr_pairs, stohr_tilting_decomp
 from .modarith import prime_char
 from .report import theorem_37_report, theorem_a_report, theorem_c_report
 from .tiltchar import tensor_power_decomp
@@ -84,44 +84,45 @@ def _resolve_degrees(args: argparse.Namespace) -> tuple[list[int], bool]:
     raise AssertionError  # parser.error never returns
 
 
+def _payload(kind: str, r: int, p: int, **fields) -> dict:
+    """One degree's payload: r, p and kind, then the command's own fields, then its provenance."""
+    return {"r": r, "p": p, "kind": kind, **fields, "provenance": PROVENANCE[kind]}
+
+
 def _entries_obj(entries: dict[int, int]) -> dict[str, int]:
-    return {str(m): entries[m] for m in sorted(entries, reverse=True)}
+    return {str(m): c for m, c in entries.items()}  # a Decomposition holds them by descending weight
 
 
 def payload_tensor(r: int, p: int) -> dict:
     dec = tensor_power_decomp(r, p)
-    return {"r": r, "p": p, "kind": "tensor-power", "basis": dec.basis.value,
-            "entries": _entries_obj(dec.entries), "provenance": PROVENANCE["tensor-power"]}
+    return _payload("tensor-power", r, p, basis=dec.basis.value, entries=_entries_obj(dec.entries))
+
+
+def _lie_payload(kind: str, rep: LieDecompReport) -> dict:
+    dec = rep.decomposition
+    return _payload(kind, rep.r, rep.p, basis=dec.basis.value, entries=_entries_obj(dec.entries),
+                    verdict=rep.verdict.value)
 
 
 def payload_lie(r: int, p: int) -> dict:
-    rep = lie_tilting_decomp(r, p)
-    return {"r": r, "p": p, "kind": "lie-power", "basis": rep.decomposition.basis.value,
-            "entries": _entries_obj(rep.decomposition.entries), "verdict": rep.verdict.value,
-            "provenance": PROVENANCE["lie-power"]}
+    return _lie_payload("lie-power", lie_tilting_decomp(r, p))
 
 
 def payload_stohr(r: int, p: int) -> dict:
-    summands = []
-    for x in stohr_pairs(r):
-        dec = stohr_tilting_decomp(x)
-        summands.append({"s": x.s, "t": x.t, "mult": x.mult, "entries": _entries_obj(dec.entries)})
-    return {"r": r, "p": p, "kind": "stohr", "summands": summands, "provenance": PROVENANCE["stohr"]}
+    summands = [{"s": x.s, "t": x.t, "mult": x.mult, "entries": _entries_obj(stohr_tilting_decomp(x).entries)}
+                for x in stohr_pairs(r)]
+    return _payload("stohr", r, p, summands=summands)
 
 
 def payload_gzeta(r: int, p: int) -> dict:
     prof = gzeta_profile(r, p)
-    return {"r": r, "p": p, "kind": "gzeta", "dim": prof.dim, "is_p_power": prof.is_p_power,
-            "provenance": PROVENANCE["gzeta"]}
+    return _payload("gzeta", r, p, dim=prof.dim, is_p_power=prof.is_p_power)
 
 
 def payload_theorem_a(r: int, p: int) -> dict:
-    rows = [
-        {"lambda1": row.partition.lambda1, "lambda2": row.partition.lambda2,
-         "expected": row.expected, "evidence": row.evidence.value, "certified": row.certified}
-        for row in theorem_a_report(r)
-    ]
-    return {"r": r, "p": p, "kind": "theorem-a", "rows": rows, "provenance": PROVENANCE["theorem-a"]}
+    rows = [{"lambda1": row.partition.lambda1, "lambda2": row.partition.lambda2, "expected": row.expected,
+             "evidence": row.evidence.value, "certified": row.certified} for row in theorem_a_report(r)]
+    return _payload("theorem-a", r, p, rows=rows)
 
 
 def payload_theorem_b(r: int, p: int) -> dict:
@@ -130,24 +131,17 @@ def payload_theorem_b(r: int, p: int) -> dict:
     else:
         prof = gzeta_profile(r, p)
         holds, dim = prof.near_top_summand, prof.dim
-    return {"r": r, "p": p, "kind": "theorem-b", "holds": holds, "gzeta_dim": dim,
-            "provenance": PROVENANCE["theorem-b"]}
+    return _payload("theorem-b", r, p, holds=holds, gzeta_dim=dim)
 
 
 def payload_theorem_c(r: int, p: int) -> dict:
-    rows = [
-        {"clause": row.clause.value, "lambda1": row.partition.lambda1, "lambda2": row.partition.lambda2,
-         "claimed": row.claimed, "char_consistent": row.char_consistent}
-        for row in theorem_c_report(r, p)
-    ]
-    return {"r": r, "p": p, "kind": "theorem-c", "rows": rows, "provenance": PROVENANCE["theorem-c"]}
+    rows = [{"clause": row.clause.value, "lambda1": row.partition.lambda1, "lambda2": row.partition.lambda2,
+             "claimed": row.claimed, "char_consistent": row.char_consistent} for row in theorem_c_report(r, p)]
+    return _payload("theorem-c", r, p, rows=rows)
 
 
 def payload_theorem_37(r: int, p: int) -> dict:
-    rep = theorem_37_report(r)
-    return {"r": r, "p": p, "kind": "theorem-37", "basis": rep.decomposition.basis.value,
-            "entries": _entries_obj(rep.decomposition.entries), "verdict": rep.verdict.value,
-            "provenance": PROVENANCE["theorem-37"]}
+    return _lie_payload("theorem-37", theorem_37_report(r))
 
 
 def _pick(payload: dict, *keys: str) -> dict:
@@ -227,12 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace):
+def _dispatch(args: argparse.Namespace) -> tuple[list[dict], bool]:
+    """The payload of every degree asked for, and whether a single --r asked."""
     degrees, single = _resolve_degrees(args)
     *_, payload = COMMANDS[args.command]
     p = getattr(args, "p", 2)  # the characteristic-2 commands take no --p
-    payloads = [payload(r, p) for r in degrees]
-    return payloads[0] if single else payloads
+    return [payload(r, p) for r in degrees], single
 
 
 # kind -> csv header, each column a field of every record _records gives.  report-all
@@ -267,8 +261,7 @@ def _records(payload: dict) -> list[dict]:
             for group in payload.get("summands", [payload]) for m, c in group["entries"].items()]
 
 
-def render_csv(payload) -> str:
-    payloads = payload if isinstance(payload, list) else [payload]
+def render_csv(payloads: list[dict]) -> str:
     columns = CSV_COLUMNS[payloads[0]["kind"]]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -323,24 +316,21 @@ def _pretty_block(payload: dict) -> list[str]:
     return lines
 
 
-def render(payload, fmt: str) -> str:
+def render(payloads: list[dict], single: bool, fmt: str) -> str:
+    """The text of a run; json prints a single --r as one object, a range as an array."""
     if fmt == "json":
-        return json.dumps(payload, separators=(",", ":")) + "\n"
+        return json.dumps(payloads[0] if single else payloads, separators=(",", ":")) + "\n"
     if fmt == "csv":
-        return render_csv(payload)
-    payloads = payload if isinstance(payload, list) else [payload]
-    lines: list[str] = []
-    for item in payloads:
-        lines.extend(_pretty_block(item))
-    return "\n".join(lines) + "\n"
+        return render_csv(payloads)
+    return "\n".join(line for payload in payloads for line in _pretty_block(payload)) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload = _dispatch(args)
-        text = render(payload, args.format)
+        payloads, single = _dispatch(args)
+        text = render(payloads, single, args.format)
     except SystemExit as exc:
         return int(exc.code or 0)
     except ConsistencyError as exc:

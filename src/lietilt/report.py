@@ -45,7 +45,6 @@ class Evidence(str, Enum):
     ZERO_WEIGHT_SPACE = "zero-weight-space"
     THEOREM_B = "theorem-b"
     STOHR_SUMMAND = "stohr-summand"
-    NONE = "none"
 
 
 class TheoremARow(NamedTuple):

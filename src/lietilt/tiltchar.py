@@ -159,20 +159,22 @@ class _DecompositionFields(NamedTuple):
 class Decomposition(_DecompositionFields):
     """Signed multiplicities of a degree-r character in a highest-weight basis.
 
-    Entries map highest weights to nonzero signed coefficients.  They are
-    held in a read-only view, so a caller that keeps a decomposition cannot
-    change what another holder of it reads.  The basis may be given by its
-    name, and it is stored as a Basis member; r and p are checked as
-    decompose checks them.  Every weight and coefficient must be an integer
-    (TypeError otherwise); a zero coefficient, or a weight outside 0..r or
-    of the other parity than r, raises ValueError.
+    Entries map highest weights to nonzero signed coefficients, by
+    descending weight.  They are held in a read-only view, so a caller that
+    keeps a decomposition cannot change what another holder of it reads.
+    The basis may be given by its name, and it is stored as a Basis member;
+    r and p are checked as decompose checks them.  Every weight and
+    coefficient must be an integer (TypeError otherwise); a zero
+    coefficient, or a weight outside 0..r or of the other parity than r,
+    raises ValueError.
     """
 
     __slots__ = ()
 
     def __new__(cls, basis: Basis | str, entries: Mapping[int, int], r: int, p: int) -> Decomposition:
         basis, r, p = Basis(basis), at_least(r, 1, "degree"), prime_char(p)
-        entries = {operator.index(w): operator.index(c) for w, c in dict(entries).items()}
+        pairs = [(operator.index(w), operator.index(c)) for w, c in dict(entries).items()]
+        entries = dict(sorted(pairs, reverse=True))  # the weights are distinct, so no coefficient is compared
         for w, c in entries.items():
             if not c:
                 raise ValueError(f"zero coefficient at weight {w}")
@@ -190,7 +192,7 @@ class Decomposition(_DecompositionFields):
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.entries, reverse=True))
+        return tuple(self.entries)
 
     @property
     def is_nonnegative(self) -> bool:

@@ -59,6 +59,14 @@ MUTANTS = {
     "csv-python-bools": ("cli.py", "writerows([_text(record[c]) for c", "writerows([record[c] for c", "test_cli.py"),
     "row-rule-repeats-lambda2": ("cli.py", 'if key not in ("lambda1", "lambda2"))', 'if key != "lambda1")',
                                  "test_cli.py"),
+    # A decomposition iterates its entries by descending weight, however they were given.
+    "entries-ascend": ("tiltchar.py", "dict(sorted(pairs, reverse=True))", "dict(sorted(pairs))", "test_records.py"),
+    # The payload envelope: the provenance comes after the command's own fields.
+    "provenance-before-fields": ("cli.py", '**fields, "provenance": PROVENANCE[kind]}',
+                                 '"provenance": PROVENANCE[kind], **fields}', "test_cli.py"),
+    # Only a range prints as a json array; a single --r prints one object.
+    "json-single-as-array": ("cli.py", "json.dumps(payloads[0] if single else payloads,", "json.dumps(payloads,",
+                             "test_cli.py"),
 }
 
 

@@ -81,7 +81,6 @@ def test_evidence_enum_values():
     assert Evidence.ZERO_WEIGHT_SPACE.value == "zero-weight-space"
     assert Evidence.THEOREM_B.value == "theorem-b"
     assert Evidence.STOHR_SUMMAND.value == "stohr-summand"
-    assert Evidence.NONE.value == "none"
 
 
 # -- odd-characteristic exception lists ---------------------------------
