@@ -19,7 +19,7 @@ import os
 import sys
 
 from .charring import ConsistencyError
-from .gzeta import gzeta_profile, theorem_b_predicate
+from .gzeta import gzeta_profile, is_p_power, theorem_b_predicate
 from .liechar import LieDecompReport, lie_tilting_decomp, stohr_pairs, stohr_tilting_decomp
 from .modarith import prime_char
 from .report import theorem_37_report, theorem_a_report, theorem_c_report
@@ -115,8 +115,7 @@ def payload_stohr(r: int, p: int) -> dict:
 
 
 def payload_gzeta(r: int, p: int) -> dict:
-    prof = gzeta_profile(r, p)
-    return _payload("gzeta", r, p, dim=prof.dim, is_p_power=prof.is_p_power)
+    return _payload("gzeta", r, p, dim=gzeta_profile(r, p).dim, is_p_power=is_p_power(r, p))
 
 
 def payload_theorem_a(r: int, p: int) -> dict:

@@ -19,12 +19,10 @@ from .tiltchar import is_weyl_simple
 __all__ = [
     "GZetaProfile",
     "c_sequence",
-    "gzeta_dim",
     "gzeta_profile",
     "is_p_power",
     "metabelian_summand",
     "theorem_b_predicate",
-    "weight_nonzero",
 ]
 
 
@@ -123,7 +121,8 @@ class GZetaProfile(NamedTuple):
     all_equal: bool
 
     def weight_space_nonzero(self, v: int) -> bool:
-        """Whether the weight space indexed by v (weight r - 2v) is nonzero."""
+        """Whether the weight space indexed by v (weight r - 2v) is nonzero,
+        that is whether some v-element subset of c has sum nonzero mod p."""
         v = operator.index(v)
         if not 1 <= v <= self.r:
             raise ValueError(f"need 1 <= v <= {self.r}, got {v}")
@@ -133,12 +132,9 @@ class GZetaProfile(NamedTuple):
 
     @property
     def dim(self) -> int:
-        """Number of nonzero weight spaces for v = 1 .. r."""
+        """Number of nonzero weight spaces for v = 1 .. r: p**m - p**(m-1)
+        when r = p**m, and r - 1 otherwise."""
         return self.r - self.r // self.p if self.all_equal else self.r - 1
-
-    @property
-    def is_p_power(self) -> bool:
-        return is_p_power(self.r, self.p)
 
     @property
     def near_top_summand(self) -> bool:
@@ -158,21 +154,6 @@ def gzeta_profile(r: int, p: int) -> GZetaProfile:
     p = prime_char(p)
     r = operator.index(r)
     return GZetaProfile(r, p, all(set(row) == {1} for row in _signed_digit_rows(r, p)))
-
-
-def weight_nonzero(r: int, p: int, v: int) -> bool:
-    """Whether some v-element subset of the coefficient sequence has sum
-    nonzero mod p; requires p | r and 1 <= v <= r."""
-    return gzeta_profile(r, p).weight_space_nonzero(v)
-
-
-def gzeta_dim(r: int, p: int) -> int:
-    """Number of nonzero weight spaces of the near-top submodule.
-
-    Equals r - 1 when r is not a power of p, and p**m - p**(m-1) when
-    r = p**m.
-    """
-    return gzeta_profile(r, p).dim
 
 
 def theorem_b_predicate(r: int, p: int) -> bool:

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .charring import ConsistencyError, Partition2, SymCharacter, weight_set
-from .modarith import at_least, divisors, mobius, poly_power_row, prime_char, witt_bidegree
+from .modarith import at_least, divisors, mobius, poly_power_row, prime_char, witt_weight_count
 from .tiltchar import Basis, Decomposition, char_weyl, decompose, tensor_power_decomp
 
 __all__ = [
@@ -118,7 +118,8 @@ def stohr_summand(s: int, t: int) -> StohrSummand:
             raise ConsistencyError(f"coefficient {k} of the bidegree ({s}, {t}) row is not an integer: {acc}/{k}")
         mults.append(q)
         q1, q2, q3 = q, q1, q2
-    return StohrSummand(s, t, witt_bidegree(s, t), SymCharacter.from_row(top, mults))
+    # Witt count of bidegree (s, t): gcd(s, t) = gcd(s + t, t), and each multinomial is C((s + t)/d, t/d).
+    return StohrSummand(s, t, witt_weight_count(s + t, t), SymCharacter.from_row(top, mults))
 
 
 def stohr_pairs(r: int) -> list[StohrSummand]:

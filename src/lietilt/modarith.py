@@ -21,7 +21,6 @@ __all__ = [
     "mobius",
     "poly_power_row",
     "prime_char",
-    "witt_bidegree",
     "witt_weight_count",
 ]
 
@@ -152,19 +151,6 @@ def mobius(n: int) -> int:
     if n > 1:
         out = -out
     return out
-
-
-def witt_bidegree(s: int, t: int) -> int:
-    """Number of Lyndon words with s first letters and t second letters.
-
-    Equal to witt_weight_count(s + t, t): gcd(s, t) = gcd(s + t, t), and each
-    multinomial (n/d)! / ((s/d)! (t/d)!) of the Moebius sum, n = s + t, is the
-    binomial C(n/d, t/d).  The count is positive whenever s, t >= 1, and for the single-letter words
-    (1, 0) and (0, 1); it vanishes at (k, 0) and (0, k) for k >= 2.
-    """
-    if s < 0 or t < 0 or s + t < 1:
-        raise ValueError("need s, t >= 0 with s + t >= 1")
-    return witt_weight_count(s + t, t)
 
 
 def witt_weight_count(r: int, i: int) -> int:

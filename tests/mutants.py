@@ -45,6 +45,9 @@ MUTANTS = {
     "necklace-divisibility": ("liechar.py", "        if rem:\n            raise ConsistencyError(f\"necklace sum",
                               "        if False:\n            raise ConsistencyError(f\"necklace sum",
                               "test_liechar.py"),
+    # The witness check behind every deeper theorem-a row: a bidegree summand's tilting support is fixed.
+    "stohr-support-pattern": ("liechar.py", "if not dec.is_nonnegative or set(dec.entries) != expected:",
+                              "if False:", "test_liechar.py"),
     # The near-top row is certified when the engine agrees with the expectation, also when both say no.
     "theorem-a-certification": ("report.py", "certified = near_top == expected", "certified = near_top",
                                 "test_report.py"),

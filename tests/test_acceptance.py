@@ -15,7 +15,7 @@ from conftest import record_acceptance
 
 from lietilt.charring import Partition2, SymCharacter, two_row_partitions
 from lietilt.cli import R_MAX
-from lietilt.gzeta import gzeta_dim, is_p_power, metabelian_summand, weight_nonzero, c_sequence
+from lietilt.gzeta import c_sequence, gzeta_profile, is_p_power, metabelian_summand
 from lietilt.liechar import (
     Verdict,
     l4_weyl2_composition_factors,
@@ -55,7 +55,7 @@ def test_criterion_1_gzeta_dichotomy():
         for p in PRIMES:
             for r in range(p, 251, p):
                 expected = r - r // p if is_p_power(r, p) else r - 1
-                assert gzeta_dim(r, p) == expected
+                assert gzeta_profile(r, p).dim == expected
         assert time.perf_counter() - start < 1.0
 
 
@@ -65,8 +65,9 @@ def test_criterion_2_subset_sum_oracle():
         for p in (2, 3, 5, 7, 11, 13):
             for r in range(p, 17, p):
                 coeffs = c_sequence_by_binomials(r, p)  # one binomial per entry, not the digit rows
+                prof = gzeta_profile(r, p)
                 for v in range(1, r + 1):
-                    assert weight_nonzero(r, p, v) == subset_sum_nonzero(coeffs, v, p)
+                    assert prof.weight_space_nonzero(v) == subset_sum_nonzero(coeffs, v, p)
         assert time.perf_counter() - start < 30.0
 
 

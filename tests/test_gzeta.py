@@ -12,12 +12,10 @@ from lietilt.cli import R_MAX
 from lietilt.gzeta import (
     GZetaProfile,
     c_sequence,
-    gzeta_dim,
     gzeta_profile,
     is_p_power,
     metabelian_summand,
     theorem_b_predicate,
-    weight_nonzero,
 )
 from lietilt.tiltchar import char_simple, is_weyl_simple
 
@@ -103,26 +101,26 @@ def test_c_sequence_memory_is_linear_in_r():
 
 
 def test_weight_nonzero_known():
-    assert weight_nonzero(8, 2, 4) is False
-    assert weight_nonzero(12, 2, 5) is True
-    assert weight_nonzero(8, 2, 1) is True
+    assert gzeta_profile(8, 2).weight_space_nonzero(4) is False
+    assert gzeta_profile(12, 2).weight_space_nonzero(5) is True
+    assert gzeta_profile(8, 2).weight_space_nonzero(1) is True
 
 
 def test_weight_nonzero_validates():
     with pytest.raises(ValueError):
-        weight_nonzero(8, 2, 0)
+        gzeta_profile(8, 2).weight_space_nonzero(0)
     with pytest.raises(ValueError):
-        weight_nonzero(8, 2, 9)
+        gzeta_profile(8, 2).weight_space_nonzero(9)
     with pytest.raises(ValueError):
-        weight_nonzero(7, 2, 1)
+        gzeta_profile(7, 2)
 
 
 def test_weight_nonzero_matches_subset_sum_oracle():
     for p in (2, 3):
         for r in range(p, 13, p):
-            cs = c_sequence(r, p)
+            cs, prof = c_sequence(r, p), gzeta_profile(r, p)
             for v in range(1, r + 1):
-                assert weight_nonzero(r, p, v) == subset_sum_nonzero(cs, v, p)
+                assert prof.weight_space_nonzero(v) == subset_sum_nonzero(cs, v, p)
 
 
 def test_weight_nonzero_agrees_with_sampled_subsets_past_exhaustive_range():
@@ -133,9 +131,9 @@ def test_weight_nonzero_agrees_with_sampled_subsets_past_exhaustive_range():
     for p in (2, 3, 5):
         powers = [p**m for m in range(2, 10) if 16 < p**m <= 400]
         for r in powers + rng.sample(range(18 * p, 401, p), 6):
-            cs = c_sequence(r, p)
+            cs, prof = c_sequence(r, p), gzeta_profile(r, p)
             for v in rng.sample(range(1, r + 1), 8) + [r - 1, r, p * rng.randint(1, r // p)]:
-                verdict = weight_nonzero(r, p, v)
+                verdict = prof.weight_space_nonzero(v)
                 for _ in range(12):
                     picked = rng.sample(range(r), v)
                     total = sum(cs[i] for i in picked) % p
@@ -159,12 +157,11 @@ def test_gzeta_profile_invariants():
             assert isinstance(prof, GZetaProfile)
             assert prof.r == r and prof.p == p
             assert len(c_sequence(r, p)) == r
-            assert prof.dim == sum(prof.weight_space_nonzero(v) for v in range(1, r + 1)) == gzeta_dim(r, p)
+            assert prof.dim == sum(prof.weight_space_nonzero(v) for v in range(1, r + 1))
             assert prof.dim <= r - 1
             assert prof.weight_space_nonzero(1)
             # v = r never contributes: the full sum is divisible by p.
             assert not prof.weight_space_nonzero(r)
-            assert prof.is_p_power == is_p_power(r, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -199,17 +196,17 @@ def test_gzeta_profile_symmetry():
 
 
 def test_gzeta_dim_known():
-    assert gzeta_dim(8, 2) == 4
-    assert gzeta_dim(12, 2) == 11
-    assert gzeta_dim(9, 3) == 6
-    assert gzeta_dim(4, 2) == 2
-    assert gzeta_dim(2, 2) == 1
+    assert gzeta_profile(8, 2).dim == 4
+    assert gzeta_profile(12, 2).dim == 11
+    assert gzeta_profile(9, 3).dim == 6
+    assert gzeta_profile(4, 2).dim == 2
+    assert gzeta_profile(2, 2).dim == 1
 
 
 def near_top_dims_off_the_oracle(p: int, r_max: int) -> dict[int, tuple[int, int]]:
-    """(gzeta_dim, tensor-space dimension) at each multiple r of p up to r_max where they differ."""
+    """(profile dimension, tensor-space dimension) at each multiple r of p up to r_max where they differ."""
     # The oracle builds the submodule in V^(x)r itself, without the coefficient sequence.
-    dims = {r: (gzeta_dim(r, p), near_top_dim_in_tensor_space(r, p)) for r in range(p, r_max + 1, p)}
+    dims = {r: (gzeta_profile(r, p).dim, near_top_dim_in_tensor_space(r, p)) for r in range(p, r_max + 1, p)}
     return {r: pair for r, pair in dims.items() if pair[0] != pair[1]}
 
 
@@ -223,7 +220,7 @@ def test_gzeta_dim_dichotomy():
     for p in (2, 3, 5):
         for r in range(p, 101, p):
             expected = r - r // p if is_p_power(r, p) else r - 1
-            assert gzeta_dim(r, p) == expected
+            assert gzeta_profile(r, p).dim == expected
 
 
 def test_gzeta_dim_p_power_matches_simple_character():
@@ -233,13 +230,13 @@ def test_gzeta_dim_p_power_matches_simple_character():
         m = 1
         while p**m <= 200:
             r = p**m
-            assert gzeta_dim(r, p) == char_simple(r - 2, p).dim
+            assert gzeta_profile(r, p).dim == char_simple(r - 2, p).dim
             m += 1
 
 
 def test_gzeta_validates():
     with pytest.raises(ValueError):
-        gzeta_dim(5, 2)
+        gzeta_profile(5, 2)
     # The profile refuses as c_sequence does, without calling it.
     for r, p in ((9, 2), (4, 3), (0, 3), (-6, 3)):
         with pytest.raises(ValueError, match=rf"^degree must be a positive multiple of {p}, got {r}$"):

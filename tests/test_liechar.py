@@ -210,6 +210,12 @@ def test_stohr_tilting_decomp_pattern():
                 assert lam.lambda2 >= x.t
 
 
+def test_stohr_tilting_decomp_refuses_a_summand_off_the_support_pattern():
+    # T(5) alone in bidegree (2, 1): its tilting support {5} misses the weights 3 and 1.
+    with pytest.raises(ConsistencyError, match=r"bidegree \(2, 1\)"):
+        stohr_tilting_decomp(StohrSummand(2, 1, 1, char_tilting(5, 2)))
+
+
 def test_stohr_tilting_decomp_matches_weight_elimination():
     def member(w):
         return char_tilting_by_products(w, 2)

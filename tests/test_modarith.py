@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from lietilt.charring import Partition2, SymCharacter, lambda_of, two_row_partitions, weight_set
 from lietilt.gzeta import (
     c_sequence,
-    gzeta_dim,
     gzeta_profile,
     is_p_power,
     metabelian_summand,
     theorem_b_predicate,
-    weight_nonzero,
 )
 from lietilt.liechar import char_lie_power, lie_power_char, lie_tilting_decomp, stohr_pairs, stohr_summand
 from lietilt.modarith import (
@@ -24,7 +22,6 @@ from lietilt.modarith import (
     mobius,
     poly_power_row,
     prime_char,
-    witt_bidegree,
     witt_weight_count,
 )
 from lietilt.report import theorem_37_report, theorem_a_report, theorem_c_report
@@ -101,8 +98,8 @@ TAKES_P = {
     "basis_char": lambda p: basis_char(Basis.DELTA, 3, p),
     "weyl_twist_identity": lambda p: weyl_twist_identity(2, 0, p),
     "gzeta_profile": lambda p: gzeta_profile(6, p),
-    "gzeta_dim": lambda p: gzeta_dim(6, p),
-    "weight_nonzero": lambda p: weight_nonzero(6, p, 1),
+    "gzeta_dim": lambda p: gzeta_profile(6, p).dim,
+    "weight_nonzero": lambda p: gzeta_profile(6, p).weight_space_nonzero(1),
     "c_sequence": lambda p: c_sequence(6, p),
     "theorem_b_predicate": lambda p: theorem_b_predicate(6, p),
     "metabelian_summand": lambda p: metabelian_summand(6, p),
@@ -148,9 +145,9 @@ TAKES_DEGREE = {
     "is_p_power": lambda n: is_p_power(n, 3),
     "c_sequence": lambda n: c_sequence(n, 3),
     "gzeta_profile": lambda n: gzeta_profile(n, 3),
-    "gzeta_dim": lambda n: gzeta_dim(n, 3),
-    "weight_nonzero": lambda n: weight_nonzero(n, 3, 1),
-    "weight_nonzero v": lambda n: weight_nonzero(9, 3, n),
+    "gzeta_dim": lambda n: gzeta_profile(n, 3).dim,
+    "weight_nonzero": lambda n: gzeta_profile(n, 3).weight_space_nonzero(1),
+    "weight_nonzero v": lambda n: gzeta_profile(9, 3).weight_space_nonzero(n),
     "theorem_b_predicate": lambda n: theorem_b_predicate(n, 3),
     "metabelian_summand": lambda n: metabelian_summand(n, 2),
     "theorem_c_report": lambda n: theorem_c_report(n, 3),
@@ -166,7 +163,7 @@ TAKES_DEGREE = {
     "divisors": divisors,
     "witt_weight_count r": lambda n: witt_weight_count(n, 2),
     "witt_weight_count i": lambda n: witt_weight_count(11, n),
-    "witt_bidegree": lambda n: witt_bidegree(n, 2),
+    "witt_bidegree": lambda n: witt_weight_count(n + 2, 2),
     "poly_power_row n": lambda n: poly_power_row((1, 1), n),
     "poly_power_row terms": lambda n: poly_power_row((1, 1), 9, n),
     "SymCharacter weight": lambda n: SymCharacter({n: 1}),
@@ -292,34 +289,29 @@ def test_consistency_error_is_one_class():
 
 
 def test_witt_bidegree_known_values():
-    assert witt_bidegree(1, 0) == 1
-    assert witt_bidegree(0, 1) == 1
-    assert witt_bidegree(1, 1) == 1
-    assert witt_bidegree(2, 1) == 1
-    assert witt_bidegree(2, 2) == 1
-    assert witt_bidegree(2, 0) == 0
-    assert witt_bidegree(0, 3) == 0
+    # The Lyndon words with s first and t second letters number witt_weight_count(s + t, t),
+    # which stohr_summand(s, t) carries as its mult.
+    assert [stohr_summand(s, t).mult for s, t in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 3))] == [1, 1, 1, 1, 3]
+    assert witt_weight_count(1, 0) == witt_weight_count(1, 1) == 1  # the single letters
+    assert witt_weight_count(2, 0) == witt_weight_count(3, 3) == 0  # (2, 0) and (0, 3)
 
 
 def test_witt_bidegree_matches_lyndon_multidegrees():
-    for n in range(1, 13):
+    for n in range(2, 13):
         by_multidegree = lyndon_second_letter_counts(n)
-        for t in range(n + 1):
-            assert witt_bidegree(n - t, t) == by_multidegree.get(t, 0)
-
-
-def test_witt_bidegree_agrees_with_weight_count():
-    for s in range(0, 10):
-        for t in range(0, 10):
-            if s + t >= 1:
-                assert witt_bidegree(s, t) == witt_weight_count(s + t, t)
+        for t in range(1, n):
+            assert stohr_summand(n - t, t).mult == by_multidegree.get(t, 0)
 
 
 def test_witt_bidegree_validates():
-    with pytest.raises(ValueError):
-        witt_bidegree(0, 0)
-    with pytest.raises(ValueError):
-        witt_bidegree(-1, 2)
+    # witt_weight_count(s + t, t) is defined exactly on the bidegrees s, t >= 0 with s + t >= 1.
+    for s in range(-2, 4):
+        for t in range(-2, 4):
+            if s >= 0 and t >= 0 and s + t >= 1:
+                witt_weight_count(s + t, t)
+            else:
+                with pytest.raises(ValueError):
+                    witt_weight_count(s + t, t)
 
 
 def test_lyndon_oracle_sanity():

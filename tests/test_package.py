@@ -62,3 +62,20 @@ def test_no_package_module_imports_another_private_name():
                 found += [f"{path.relative_to(ROOT)}:{node.lineno}: from {'.' * node.level}{node.module or ''} "
                           f"import {alias.name}" for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def test_public_surface_is_pinned():
+    # Adding or removing a public name means editing this tuple, so the change shows up in review.
+    import lietilt
+
+    assert tuple(lietilt.__all__) == (
+        "Basis", "ConsistencyError", "Decomposition", "Evidence", "GZetaProfile", "LieDecompReport", "Partition2",
+        "StohrSummand", "SymCharacter", "TheoremARow", "TheoremCClause", "TheoremCRow", "Verdict", "basis_char",
+        "c_sequence", "char_lie_power", "char_simple", "char_tilting", "char_weyl", "decompose", "divisors",
+        "gzeta_profile", "is_p_power", "is_weyl_simple", "l4_weyl2_composition_factors", "lambda_of",
+        "lie_power_char", "lie_tilting_decomp", "metabelian_summand", "mobius", "natural_power_char",
+        "poly_power_row", "prime_char", "stohr_pairs", "stohr_summand", "stohr_tilting_decomp",
+        "tensor_power_decomp", "theorem_37_report", "theorem_a_report", "theorem_b_predicate", "theorem_c_report",
+        "tilting_bands", "tilting_multiplicity_lower_bound", "tilting_weyl_factors", "two_row_partitions",
+        "weight_set", "weyl_twist_identity", "witt_weight_count",
+    )
