@@ -4,9 +4,8 @@ The degree-r component of a free Lie algebra has a Lyndon-word basis, so its
 weight multiplicities do not depend on the ground field: they are Witt
 counts.  On top of that this module implements the characteristic-2
 bidegree splitting of a Lie power into smaller Lie powers of Weyl-character
-products (the Stohr summands), the tilting decomposition of a Lie power
-character with its three-way verdict, and a character-certified lower bound
-for tilting multiplicities.
+products (the Stohr summands), and the tilting decomposition of a Lie power
+character with its three-way verdict.
 """
 
 from __future__ import annotations
@@ -15,9 +14,9 @@ import operator
 from enum import Enum
 from typing import NamedTuple
 
-from .charring import ConsistencyError, Partition2, SymCharacter, weight_set
+from .charring import ConsistencyError, SymCharacter, weight_set
 from .modarith import at_least, divisors, mobius, poly_power_row, prime_char, witt_weight_count
-from .tiltchar import Basis, Decomposition, char_weyl, decompose, tensor_power_decomp
+from .tiltchar import Basis, Decomposition, char_weyl, decompose
 
 __all__ = [
     "LieDecompReport",
@@ -30,7 +29,6 @@ __all__ = [
     "stohr_pairs",
     "stohr_summand",
     "stohr_tilting_decomp",
-    "tilting_multiplicity_lower_bound",
 ]
 
 
@@ -145,28 +143,6 @@ def stohr_tilting_decomp(x: StohrSummand) -> Decomposition:
     if not dec.is_nonnegative or set(dec.entries) != expected:
         raise ConsistencyError(f"support pattern violated for bidegree ({x.s}, {x.t})")
     return dec
-
-
-def tilting_multiplicity_lower_bound(lam: Partition2, r: int) -> int:
-    """Character-certified lower bound on the multiplicity of the tilting
-    summand labelled by lam inside the degree-r Lie power, characteristic 2.
-
-    Sums, over the bidegree pairs (s, t) of degree r whose t reaches the row
-    difference of lam, the Witt multiplicity of the pair times the tilting
-    coefficient of that row difference in the t-fold tensor power.
-    """
-    if lam.degree != r:
-        raise ValueError(f"partition {lam} is not of degree {r}")
-    if not lam.is_p_regular(2):
-        raise ValueError(f"partition {lam} has a repeated row")
-    m = lam.weight
-    if r <= 3:
-        return 0
-    total = 0
-    for x in stohr_pairs(r):
-        if 0 < m <= x.t:
-            total += x.mult * tensor_power_decomp(x.t, 2).coefficient(m)
-    return total
 
 
 class Verdict(str, Enum):

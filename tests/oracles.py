@@ -19,6 +19,9 @@ signed weight pairs into a plain dict instead of calling SymCharacter's
 product, the Lie power of a character multiplies out its dilated
 powers instead of reading coefficient rows, and DictCharacter keeps a
 character as a dict of its non-negative weights instead of one dense row.
+The Bryant-Schocker pieces are the exception: they are built from the
+package's necklace characters, because what checks them is a theorem about
+modules (each piece is tilting) rather than a second computation.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from lietilt.charring import SymCharacter
+from lietilt.liechar import char_lie_power, lie_power_char
 from lietilt.modarith import prime_char
 from lietilt.tiltchar import char_weyl
 
@@ -237,6 +241,28 @@ def lie_power_char_by_products(chi: SymCharacter, r: int) -> SymCharacter:
     if any(acc.multiplicity(w) % r for w in acc.support):
         raise ValueError(f"necklace sum not divisible by {r}")
     return SymCharacter({w: acc.multiplicity(w) // r for w in acc.support})
+
+
+@lru_cache(maxsize=None)
+def bryant_schocker_pieces(p: int, r_max: int) -> Mapping[int, SymCharacter]:
+    """{r: ch B_r} for 1 <= r <= r_max in characteristic p.
+
+    Bryant and Schocker ("The decomposition of Lie powers", Proc. LMS 93,
+    2006): for k prime to p, L^(p^m k)(V) is the direct sum over i = 0 .. m of
+    L^(p^i)(B_(p^(m - i) k)), where B_k = L^k(V) and every B_r is a direct
+    summand of V^(x)r, hence tilting.  So ch B_r = ch L^r minus the sum over
+    i >= 1 with p^i | r of ch L^(p^i)(B_(r / p^i)).  With k = 1 the i = m term
+    is L^(p^m)(V) itself, so B_r = 0 at every r = p^m with m >= 1.
+    """
+    pieces: dict[int, SymCharacter] = {}
+    for r in range(1, r_max + 1):
+        chi = char_lie_power(r)
+        q = p
+        while r % q == 0:
+            chi = chi - lie_power_char(pieces[r // q], q)
+            q *= p
+        pieces[r] = chi
+    return MappingProxyType(pieces)
 
 
 def polynomial_power_by_products(coeffs: Sequence[int], n: int) -> list[int]:

@@ -14,10 +14,10 @@ import pytest
 
 from lietilt.cli import R_MAX
 from lietilt.gzeta import c_sequence, gzeta_profile
+from lietilt.tiltchar import Basis, decompose
 
-from oracles import c_sequence_by_binomials
+from oracles import bryant_schocker_pieces, c_sequence_by_binomials
 from test_gzeta import near_top_dims_off_the_oracle
-from test_liechar import lie_power_remainders_not_tilting
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19])
@@ -45,4 +45,5 @@ def test_c_sequence_and_profile_match_per_entry_oracle_at_every_degree(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_lie_power_remainder_is_tilting_to_degree_600(p):
-    assert lie_power_remainders_not_tilting(p, 600) == {}
+    pieces = bryant_schocker_pieces(p, 600)
+    assert [r for r in range(p, 601, p) if not decompose(pieces[r], Basis.TILTING, r, p).is_nonnegative] == []

@@ -17,9 +17,9 @@ from lietilt.gzeta import (
     metabelian_summand,
     theorem_b_predicate,
 )
-from lietilt.tiltchar import char_simple, is_weyl_simple
+from lietilt.tiltchar import Basis, char_simple, decompose, is_weyl_simple
 
-from oracles import c_sequence_by_binomials, near_top_dim_in_tensor_space, subset_sum_nonzero
+from oracles import bryant_schocker_pieces, c_sequence_by_binomials, near_top_dim_in_tensor_space, subset_sum_nonzero
 
 
 # -- p-power detection --------------------------------------------------
@@ -263,6 +263,20 @@ def test_theorem_b_predicate_closed_form():
         for r in range(2, 251):
             expected = (r % p != 0) or r == p or not is_p_power(r, p)
             assert theorem_b_predicate(r, p) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_theorem_b_predicate_matches_bryant_schocker_piece(p):
+    # At a multiple r of p, the near-top summand T(r - 2) has a positive
+    # coefficient in the tilting piece B_r exactly when r is not a power of p.
+    # The piece comes from necklace characters and a tilting elimination, a
+    # route that shares no code with the coefficient-sequence engine.  r = p is
+    # left out: there B_p = 0, but the predicate is true.
+    powers = {p**k for k in range(1, 9)}
+    pieces = bryant_schocker_pieces(p, 200)
+    for r in range(2 * p, 201, p):
+        near_top = decompose(pieces[r], Basis.TILTING, r, p).coefficient(r - 2) > 0
+        assert near_top == (r not in powers) == theorem_b_predicate(r, p), r
 
 
 def test_theorem_b_predicate_validates():

@@ -16,12 +16,12 @@ from lietilt.liechar import (
     stohr_pairs,
     stohr_summand,
     stohr_tilting_decomp,
-    tilting_multiplicity_lower_bound,
 )
 from lietilt.modarith import witt_weight_count
-from lietilt.tiltchar import Basis, char_tilting, char_weyl, decompose, tensor_power_decomp
+from lietilt.tiltchar import Basis, char_tilting, char_weyl, decompose
 
 from oracles import (
+    bryant_schocker_pieces,
     char_tilting_by_products,
     decompose_by_weight,
     free_lie_dim,
@@ -234,31 +234,6 @@ def test_stohr_dimension_identity():
         assert char_lie_power(r).dim == free_lie_dim(2, r)
 
 
-def test_tilting_multiplicity_lower_bound_known():
-    assert tilting_multiplicity_lower_bound(lambda_of(1, 11), 11) == 3
-    assert tilting_multiplicity_lower_bound(lambda_of(3, 11), 11) == 1
-
-
-def test_tilting_multiplicity_lower_bound_validates():
-    with pytest.raises(ValueError):
-        tilting_multiplicity_lower_bound(lambda_of(1, 11), 13)
-    with pytest.raises(ValueError):
-        tilting_multiplicity_lower_bound(lambda_of(0, 6), 6)  # (3,3) is 2-singular
-
-
-def test_tilting_multiplicity_lower_bound_below_genuine_multiplicity():
-    # For odd r the Lie power is tilting at p = 2, so the decomposition's
-    # coefficients are the genuine multiplicities; the bound must not exceed them.
-    for r in range(7, 22, 2):
-        report = lie_tilting_decomp(r, 2)
-        for m, coeff in report.decomposition.entries.items():
-            lam = lambda_of(m, r)
-            if not lam.is_p_regular(2):
-                continue
-            bound = tilting_multiplicity_lower_bound(lam, r)
-            assert 0 <= bound <= coeff
-
-
 # -- Lie power tilting decompositions ----------------------------------
 
 
@@ -316,26 +291,14 @@ def test_lie_tilting_decomp_even_degree_verdicts_char_two():
         assert lie_tilting_decomp(r, 2).verdict is Verdict.INCONCLUSIVE
 
 
-def lie_power_remainders_not_tilting(p: int, r_max: int) -> dict[int, dict[int, int]]:
-    """The tilting decompositions of ch L^(pk) - ch L^p(L^k), p not dividing k and
-    pk <= r_max, that have a negative coefficient."""
-    found = {}
-    for k in range(1, r_max // p + 1):
-        if k % p:
-            r = p * k
-            dec = decompose(char_lie_power(r) - lie_power_char(char_lie_power(k), p), Basis.TILTING, r, p)
-            if not dec.is_nonnegative:
-                found[r] = dict(dec.entries)
-    return found
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_lie_power_remainder_is_tilting(p):
-    # Bryant and Schocker, "The decomposition of Lie powers" (Proc. LMS 93, 2006):
-    # for p not dividing k, L^(pk)(V) = L^p(L^k(V)) + B with B a summand of V^(x)pk,
-    # so B is tilting.  This checks the necklace characters and the tilting
-    # elimination against a theorem instead of another code path.
-    assert lie_power_remainders_not_tilting(p, 200) == {}
+    # Each Bryant-Schocker piece B_r is a summand of V^(x)r, so it is tilting and
+    # no tilting coefficient of ch B_r may be negative.  This checks the necklace
+    # characters and the tilting elimination against a theorem instead of
+    # another code path.
+    pieces = bryant_schocker_pieces(p, 200)
+    assert [r for r in range(p, 201, p) if not decompose(pieces[r], Basis.TILTING, r, p).is_nonnegative] == []
 
 
 def test_lie_tilting_decomp_validates():

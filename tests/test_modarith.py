@@ -98,8 +98,6 @@ TAKES_P = {
     "basis_char": lambda p: basis_char(Basis.DELTA, 3, p),
     "weyl_twist_identity": lambda p: weyl_twist_identity(2, 0, p),
     "gzeta_profile": lambda p: gzeta_profile(6, p),
-    "gzeta_dim": lambda p: gzeta_profile(6, p).dim,
-    "weight_nonzero": lambda p: gzeta_profile(6, p).weight_space_nonzero(1),
     "c_sequence": lambda p: c_sequence(6, p),
     "theorem_b_predicate": lambda p: theorem_b_predicate(6, p),
     "metabelian_summand": lambda p: metabelian_summand(6, p),
@@ -145,9 +143,7 @@ TAKES_DEGREE = {
     "is_p_power": lambda n: is_p_power(n, 3),
     "c_sequence": lambda n: c_sequence(n, 3),
     "gzeta_profile": lambda n: gzeta_profile(n, 3),
-    "gzeta_dim": lambda n: gzeta_profile(n, 3).dim,
-    "weight_nonzero": lambda n: gzeta_profile(n, 3).weight_space_nonzero(1),
-    "weight_nonzero v": lambda n: gzeta_profile(9, 3).weight_space_nonzero(n),
+    "GZetaProfile.weight_space_nonzero v": lambda n: gzeta_profile(9, 3).weight_space_nonzero(n),
     "theorem_b_predicate": lambda n: theorem_b_predicate(n, 3),
     "metabelian_summand": lambda n: metabelian_summand(n, 2),
     "theorem_c_report": lambda n: theorem_c_report(n, 3),
@@ -163,7 +159,6 @@ TAKES_DEGREE = {
     "divisors": divisors,
     "witt_weight_count r": lambda n: witt_weight_count(n, 2),
     "witt_weight_count i": lambda n: witt_weight_count(11, n),
-    "witt_bidegree": lambda n: witt_weight_count(n + 2, 2),
     "poly_power_row n": lambda n: poly_power_row((1, 1), n),
     "poly_power_row terms": lambda n: poly_power_row((1, 1), 9, n),
     "SymCharacter weight": lambda n: SymCharacter({n: 1}),

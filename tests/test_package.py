@@ -76,6 +76,6 @@ def test_public_surface_is_pinned():
         "lie_power_char", "lie_tilting_decomp", "metabelian_summand", "mobius", "natural_power_char",
         "poly_power_row", "prime_char", "stohr_pairs", "stohr_summand", "stohr_tilting_decomp",
         "tensor_power_decomp", "theorem_37_report", "theorem_a_report", "theorem_b_predicate", "theorem_c_report",
-        "tilting_bands", "tilting_multiplicity_lower_bound", "tilting_weyl_factors", "two_row_partitions",
-        "weight_set", "weyl_twist_identity", "witt_weight_count",
+        "tilting_bands", "tilting_weyl_factors", "two_row_partitions", "weight_set", "weyl_twist_identity",
+        "witt_weight_count",
     )

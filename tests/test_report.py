@@ -14,9 +14,9 @@ from lietilt.report import (
     theorem_a_report,
     theorem_c_report,
 )
-from lietilt.tiltchar import char_weyl
+from lietilt.tiltchar import Basis, char_weyl, decompose
 
-from oracles import char_consistent_by_weights, char_tilting_by_products
+from oracles import bryant_schocker_pieces, char_consistent_by_weights, char_tilting_by_products
 
 
 # -- characteristic-2 inclusion table -----------------------------------
@@ -153,6 +153,33 @@ def test_theorem_c_char_consistent_matches_product_oracle(r, p):
     chi = char_lie_power(r)
     for row in theorem_c_report(r, p):
         assert row.char_consistent == _consistent_by_products(chi, row.partition.weight, p)
+
+
+# The exceptions of theorem_c_report at r = 2 * p**m whose T(lambda1 - lambda2) has a positive
+# coefficient in the Bryant-Schocker piece B_r, by clause.
+POSITIVE_EXCEPTIONS = {
+    TheoremCClause.III: lambda pm: {Partition2(pm, pm)},
+    TheoremCClause.IV: lambda pm: {Partition2(pm + 1, pm - 1), Partition2(pm + 2, pm - 2)},
+}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_theorem_c_rows_read_in_bryant_schocker_piece(p):
+    # Records what the tilting piece B_r reads at every theorem-c degree up to
+    # 500, so that a change in how the rows are read shows up here: B_r = 0 at
+    # r = p**m, and at r = 2 * p**m every claimed row and exactly the listed
+    # exceptions have a positive coefficient.
+    degrees = [r for m in range(1, 6) for r in (p**m, 2 * p**m) if p < r <= 500 and (r, p) != (6, 3)]
+    pieces = bryant_schocker_pieces(p, max(degrees))
+    for r in degrees:
+        if r % 2:
+            assert pieces[r].is_zero, r
+            continue
+        rows = theorem_c_report(r, p)
+        dec = decompose(pieces[r], Basis.TILTING, r, p)
+        positive = {row.partition for row in rows if dec.coefficient(row.partition.weight) > 0}
+        claimed = {row.partition for row in rows if row.claimed}
+        assert (claimed - positive, positive - claimed) == (set(), POSITIVE_EXCEPTIONS[rows[0].clause](r // 2)), r
 
 
 @settings(deadline=None, max_examples=200)
