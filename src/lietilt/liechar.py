@@ -67,7 +67,7 @@ def lie_power_char(chi: SymCharacter, r: int) -> SymCharacter:
     for d in divisors(r):
         mu = mobius(d)
         if mu:
-            power = poly_power_row(coeffs, r // d, half // d + 1)
+            power = poly_power_row([(coeffs, r // d)], half // d + 1)
             acc[::d] = [a + mu * c for a, c in zip(acc[::d], power)]
     for i, a in enumerate(acc):
         acc[i], rem = divmod(a, r)
@@ -96,28 +96,14 @@ def stohr_summand(s: int, t: int) -> StohrSummand:
     """Build the bidegree-(s, t) summand: s factors of the three-dimensional
     and t factors of the two-dimensional Weyl character.
 
-    With y = x**-2 the product is x**(2s + t) * Q(y), Q = (1 + y + y**2)**s *
-    (1 + y)**t, so the multiplicity at weight 2s + t - 2j is the coefficient
-    q_j of y**j in Q.  Q solves D*Q' = N*Q with D = 1 + 2y + 2y**2 + y**3 and
-    N = (s + t) + (3s + t)*y + (2s + t)*y**2, so q_0 = 1 and
-    k*q_k = sum over i = 0 .. 2 of N_i*q_{k-1-i} - sum over i = 1 .. 3 of
-    D_i*(k - i)*q_{k-i}: three small-by-big products per coefficient.  Each
-    division by k is exact, and checked.
+    With y = x**-2 the product is x**(2s + t) * (1 + y + y**2)**s * (1 + y)**t,
+    so the multiplicity at weight 2s + t - 2j is the coefficient of y**j: one
+    coefficient row of a product of two powers.
     """
     s, t = at_least(s, 1, "s"), at_least(t, 1, "t")
-    top = 2 * s + t
-    n0, n1, n2 = s + t, 3 * s + t, 2 * s + t
-    mults = [1]
-    q1, q2, q3 = 1, 0, 0  # q_{k-1}, q_{k-2}, q_{k-3}, zero below q_0
-    for k in range(1, top // 2 + 1):
-        acc = (n0 - 2 * (k - 1)) * q1 + (n1 - 2 * (k - 2)) * q2 + (n2 - (k - 3)) * q3
-        q, rem = divmod(acc, k)
-        if rem:
-            raise ConsistencyError(f"coefficient {k} of the bidegree ({s}, {t}) row is not an integer: {acc}/{k}")
-        mults.append(q)
-        q1, q2, q3 = q, q1, q2
+    row = poly_power_row([((1, 1, 1), s), ((1, 1), t)], s + t // 2 + 1)
     # Witt count of bidegree (s, t): gcd(s, t) = gcd(s + t, t), and each multinomial is C((s + t)/d, t/d).
-    return StohrSummand(s, t, witt_weight_count(s + t, t), SymCharacter.from_row(top, mults))
+    return StohrSummand(s, t, witt_weight_count(s + t, t), SymCharacter.from_row(2 * s + t, row))
 
 
 def stohr_pairs(r: int) -> list[StohrSummand]:

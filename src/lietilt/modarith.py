@@ -1,10 +1,10 @@
 """Exact modular and combinatorial arithmetic.
 
 Prime validation, the bound check on every degree, weight and count argument,
-the coefficient rows of powers of integer polynomials, the Moebius function,
-the Witt counting formulas for graded components of a free Lie algebra on
-two letters, and ConsistencyError, the package's error for a failed
-structural check.  Everything is exact integer arithmetic;
+the coefficient rows of products of powers of integer polynomials, the
+Moebius function, the Witt counting formulas for graded components of a free
+Lie algebra on two letters, and ConsistencyError, the package's error for a
+failed structural check.  Everything is exact integer arithmetic;
 nothing here depends on the rest of the package.
 """
 
@@ -85,38 +85,51 @@ def at_least(n: int, least: int, what: str) -> int:
     return n
 
 
-def poly_power_row(coeffs: Sequence[int], n: int, terms: int | None = None) -> list[int]:
-    """Coefficients a_0, a_1, ... of P(y)**n, where P(y) = coeffs[0] +
-    coeffs[1]*y + ... + coeffs[e]*y**e has integer coefficients and a nonzero
-    constant term: all n*e + 1 of them, or the first `terms` when that is
-    smaller.
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_power_row(factors: Sequence[tuple[Sequence[int], int]], terms: int | None = None) -> list[int]:
+    """Coefficients a_0, a_1, ... of F(y), the product of the powers P(y)**n
+    given as (coeffs, n) pairs, each P(y) = coeffs[0] + coeffs[1]*y + ... +
+    coeffs[e]*y**e with integer coefficients and a nonzero constant term: all
+    sum(n*e) + 1 of them, or the first `terms` when that is smaller.
 
     J. C. P. Miller's recurrence for the power of a power series (Knuth,
-    TAOCP vol. 2, section 4.7): a_0 = P_0**n and, for k >= 1,
-    k*P_0*a_k = sum over i = 1 .. e of ((n + 1)*i - k) * P_i * a_{k-i}.
-    Each division by k*P_0 is exact for an integer polynomial, and checked: a
-    remainder raises ValueError.  (1 + y)**n gives the binomial row
-    C(n, 0), ..., C(n, n) and (1 + y + y**2)**n the trinomial row.
+    TAOCP vol. 2, section 4.7), for a product of powers: F solves D*F' = E*F,
+    where each factor, from D = 1 and E = 0, sets D <- D*P and E <- E*P +
+    n*P'*D.  So a_0 is the product of the P(0)**n and, for k >= 1,
+    k*D_0*a_k = sum over i >= 1 of (E_{i-1} + (i - k)*D_i) * a_{k-i}; with one
+    factor this is Miller's ((n + 1)*i - k) * P_i.  Each division by k*D_0 is
+    exact for integer polynomials, and checked: a remainder raises ValueError.
+    [((1, 1), n)] gives the binomial row C(n, 0), ..., C(n, n).
     """
-    n = at_least(n, 0, "exponent")
-    if not coeffs or not coeffs[0]:
-        raise ValueError(f"need a polynomial with nonzero constant term, got {list(coeffs)}")
-    last = n * (len(coeffs) - 1)
+    d, e, row, last = [1], [], [1], 0  # len(e) == len(d) - 1
+    for coeffs, n in factors:
+        n = at_least(n, 0, "exponent")
+        if not coeffs or not coeffs[0]:
+            raise ValueError(f"need a polynomial with nonzero constant term, got {list(coeffs)}")
+        pd = _convolve([i * c for i, c in enumerate(coeffs)][1:], d)  # P'*D with the old D
+        d, e = _convolve(d, coeffs), [x + n * y for x, y in zip(_convolve(e, coeffs), pd)]
+        row[0] *= coeffs[0] ** n
+        last += n * (len(coeffs) - 1)
     if terms is not None:
         last = min(last, at_least(terms, 1, "terms") - 1)
-    # ((n + 1)*i - k) * P_i = (n + 1)*i*P_i - k*P_i, over the nonzero P_i by ascending i.
-    steps = [(i, (n + 1) * i * c, c) for i, c in enumerate(coeffs) if i and c]
-    p0 = coeffs[0]
-    row = [p0**n]
+    # (E_{i-1} + i*D_i - k*D_i) * a_{k-i}, over the nonzero terms by ascending i.
+    steps = [(i, e[i - 1] + i * c, c) for i, c in enumerate(d) if i and (e[i - 1] or c)]
     for k in range(1, last + 1):
         acc = 0
         for i, fixed, c in steps:
             if i > k:
                 break
             acc += (fixed - k * c) * row[k - i]
-        a, rem = divmod(acc, k * p0)
+        a, rem = divmod(acc, k * d[0])
         if rem:
-            raise ValueError(f"coefficient {k} of P**{n} is not an integer: {acc}/{k * p0}")
+            raise ValueError(f"coefficient {k} of the product is not an integer: {acc}/{k * d[0]}")
         row.append(a)
     return row
 

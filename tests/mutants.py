@@ -33,10 +33,12 @@ MUTANTS = {
                           "test_tiltchar.py"),
     "miller-recurrence": ("modarith.py", "acc += (fixed - k * c) * row[k - i]", "acc += (fixed + k * c) * row[k - i]",
                           "test_modarith.py"),
+    # Without E*P the first factor's row stays right; a product of two powers, as in a Stohr row, goes wrong.
+    "product-e-update": ("modarith.py", "zip(_convolve(e, coeffs), pd)", "zip(e + [0] * (len(coeffs) - 1), pd)",
+                         "test_liechar.py"),
     # A tilting step must subtract every Weyl factor of T(w).
     "tilting-step-two-factors": ("tiltchar.py", "for u in tilting_weyl_factors(w, p) if",
                                  "for u in tilting_weyl_factors(w, p)[:2] if", "test_tiltchar.py"),
-    "stohr-recurrence": ("liechar.py", "(n2 - (k - 3)) * q3", "(n2 - 2 * (k - 3)) * q3", "test_liechar.py"),
     "lucas-recurrence": ("gzeta.py", "row[-1] * (k - 1 - nd) * pow(k, -1, p)", "row[-1] * (k - nd) * pow(k, -1, p)",
                          "test_gzeta.py"),
     # The profile must see every entry of a row, not only the last one.

@@ -265,15 +265,20 @@ def bryant_schocker_pieces(p: int, r_max: int) -> Mapping[int, SymCharacter]:
     return MappingProxyType(pieces)
 
 
+def polynomial_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of A(y)*B(y) by the schoolbook product."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def polynomial_power_by_products(coeffs: Sequence[int], n: int) -> list[int]:
     """Coefficients of P(y)**n by n schoolbook products from the constant 1."""
     out = [1]
     for _ in range(n):
-        prod = [0] * (len(out) + len(coeffs) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(coeffs):
-                prod[i + j] += a * b
-        out = prod
+        out = polynomial_product(out, coeffs)
     return out
 
 

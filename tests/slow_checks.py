@@ -21,7 +21,7 @@ from test_gzeta import near_top_dims_off_the_oracle
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19])
-def test_gzeta_dim_matches_tensor_space_oracle_to_degree_20(p):
+def test_profile_dim_matches_tensor_space_oracle_to_degree_20(p):
     # Tier-1 stops at degree 16: the oracle costs about r * 2**(r - 1) operations per degree.
     assert near_top_dims_off_the_oracle(p, 20) == {}
 

@@ -100,13 +100,13 @@ def test_c_sequence_memory_is_linear_in_r():
 # -- weight-space profiles ---------------------------------------------
 
 
-def test_weight_nonzero_known():
+def test_weight_space_nonzero_known():
     assert gzeta_profile(8, 2).weight_space_nonzero(4) is False
     assert gzeta_profile(12, 2).weight_space_nonzero(5) is True
     assert gzeta_profile(8, 2).weight_space_nonzero(1) is True
 
 
-def test_weight_nonzero_validates():
+def test_weight_space_nonzero_validates():
     with pytest.raises(ValueError):
         gzeta_profile(8, 2).weight_space_nonzero(0)
     with pytest.raises(ValueError):
@@ -115,7 +115,7 @@ def test_weight_nonzero_validates():
         gzeta_profile(7, 2)
 
 
-def test_weight_nonzero_matches_subset_sum_oracle():
+def test_weight_space_nonzero_matches_subset_sum_oracle():
     for p in (2, 3):
         for r in range(p, 13, p):
             cs, prof = c_sequence(r, p), gzeta_profile(r, p)
@@ -123,7 +123,7 @@ def test_weight_nonzero_matches_subset_sum_oracle():
                 assert prof.weight_space_nonzero(v) == subset_sum_nonzero(cs, v, p)
 
 
-def test_weight_nonzero_agrees_with_sampled_subsets_past_exhaustive_range():
+def test_weight_space_nonzero_agrees_with_sampled_subsets_past_exhaustive_range():
     # Past r = 16 the subsets cannot all be listed, so sample them: a nonzero sampled sum
     # must be allowed by the verdict, and a nonzero verdict is witnessed by one swap.
     rng = random.Random(2011)
@@ -195,7 +195,7 @@ def test_gzeta_profile_symmetry():
 # -- dimensions and the dichotomy --------------------------------------
 
 
-def test_gzeta_dim_known():
+def test_profile_dim_known():
     assert gzeta_profile(8, 2).dim == 4
     assert gzeta_profile(12, 2).dim == 11
     assert gzeta_profile(9, 3).dim == 6
@@ -210,20 +210,20 @@ def near_top_dims_off_the_oracle(p: int, r_max: int) -> dict[int, tuple[int, int
     return {r: pair for r, pair in dims.items() if pair[0] != pair[1]}
 
 
-def test_gzeta_dim_matches_tensor_space_oracle():
+def test_profile_dim_matches_tensor_space_oracle():
     # About r * 2**(r - 1) operations per degree; tests/slow_checks.py goes on to degree 20.
     for p in (2, 3, 5, 7, 11, 13):
         assert near_top_dims_off_the_oracle(p, 16) == {}, p
 
 
-def test_gzeta_dim_dichotomy():
+def test_profile_dim_dichotomy():
     for p in (2, 3, 5):
         for r in range(p, 101, p):
             expected = r - r // p if is_p_power(r, p) else r - 1
             assert gzeta_profile(r, p).dim == expected
 
 
-def test_gzeta_dim_p_power_matches_simple_character():
+def test_profile_dim_p_power_matches_simple_character():
     # For r = p^m the count agrees with the dimension of the simple
     # module of highest weight r - 2.
     for p in (2, 3, 5):

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lietilt.charring import Partition2, SymCharacter, lambda_of, two_row_partitions, weight_set
@@ -46,6 +46,7 @@ from oracles import (
     lyndon_second_letter_counts,
     lyndon_words,
     polynomial_power_by_products,
+    polynomial_product,
     sieve_mobius,
     sieve_primes,
 )
@@ -159,8 +160,8 @@ TAKES_DEGREE = {
     "divisors": divisors,
     "witt_weight_count r": lambda n: witt_weight_count(n, 2),
     "witt_weight_count i": lambda n: witt_weight_count(11, n),
-    "poly_power_row n": lambda n: poly_power_row((1, 1), n),
-    "poly_power_row terms": lambda n: poly_power_row((1, 1), 9, n),
+    "poly_power_row n": lambda n: poly_power_row([((1, 1), 2), ((1, 1, 1), n)]),
+    "poly_power_row terms": lambda n: poly_power_row([((1, 1), 9)], n),
     "SymCharacter weight": lambda n: SymCharacter({n: 1}),
     "SymCharacter multiplicity": lambda n: SymCharacter({1: n}),
     "SymCharacter.from_row top": lambda n: SymCharacter.from_row(n, (1,) * 5),
@@ -283,7 +284,7 @@ def test_consistency_error_is_one_class():
     assert lietilt.ConsistencyError is lietilt.charring.ConsistencyError is ConsistencyError
 
 
-def test_witt_bidegree_known_values():
+def test_witt_weight_count_bidegree_known_values():
     # The Lyndon words with s first and t second letters number witt_weight_count(s + t, t),
     # which stohr_summand(s, t) carries as its mult.
     assert [stohr_summand(s, t).mult for s, t in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 3))] == [1, 1, 1, 1, 3]
@@ -291,14 +292,14 @@ def test_witt_bidegree_known_values():
     assert witt_weight_count(2, 0) == witt_weight_count(3, 3) == 0  # (2, 0) and (0, 3)
 
 
-def test_witt_bidegree_matches_lyndon_multidegrees():
+def test_witt_weight_count_matches_lyndon_multidegrees():
     for n in range(2, 13):
         by_multidegree = lyndon_second_letter_counts(n)
         for t in range(1, n):
             assert stohr_summand(n - t, t).mult == by_multidegree.get(t, 0)
 
 
-def test_witt_bidegree_validates():
+def test_witt_weight_count_bidegree_validates():
     # witt_weight_count(s + t, t) is defined exactly on the bidegrees s, t >= 0 with s + t >= 1.
     for s in range(-2, 4):
         for t in range(-2, 4):
@@ -320,36 +321,54 @@ def test_lyndon_oracle_sanity():
 
 def test_poly_power_row_binomial_matches_comb():
     for n in range(301):
-        assert poly_power_row((1, 1), n) == [math.comb(n, k) for k in range(n + 1)]
+        assert poly_power_row([((1, 1), n)]) == [math.comb(n, k) for k in range(n + 1)]
 
 
 def test_poly_power_row_trinomial_known():
-    assert poly_power_row((1, 1, 1), 0) == [1]
-    assert poly_power_row((1, 1, 1), 1) == [1, 1, 1]
-    assert poly_power_row((1, 1, 1), 3) == [1, 3, 6, 7, 6, 3, 1]
+    assert poly_power_row([((1, 1, 1), 0)]) == [1]
+    assert poly_power_row([((1, 1, 1), 1)]) == [1, 1, 1]
+    assert poly_power_row([((1, 1, 1), 3)]) == [1, 3, 6, 7, 6, 3, 1]
+
+
+# One factor P(y)**n as (P(0), the higher coefficients, n).
+FACTOR = st.tuples(st.integers().filter(bool), st.lists(st.integers(-6, 6), max_size=5), st.integers(0, 25))
 
 
 @settings(deadline=None, max_examples=80)
-@given(st.integers().filter(bool), st.lists(st.integers(-6, 6), max_size=5), st.integers(0, 40), st.integers(1, 250))
-def test_poly_power_row_matches_repeated_products(head, tail, n, terms):
-    coeffs = [head] + tail
-    full = polynomial_power_by_products(coeffs, n)
-    assert poly_power_row(coeffs, n) == full
-    assert poly_power_row(coeffs, n, terms) == full[:terms]
+@given(st.lists(FACTOR, min_size=1, max_size=3), st.integers(1, 250))
+@example([(1, [1], 0), (-2, [0, 3], 4)], 3)
+def test_poly_power_row_matches_repeated_products(factors, terms):
+    pairs = [([head] + tail, n) for head, tail, n in factors]
+    full = [1]
+    for coeffs, n in pairs:
+        full = polynomial_product(full, polynomial_power_by_products(coeffs, n))
+    assert poly_power_row(pairs) == full
+    assert poly_power_row(pairs, terms) == full[:terms]
 
 
 def test_poly_power_row_validates():
     with pytest.raises(ValueError):
-        poly_power_row((1, 1), -1)
+        poly_power_row([((1, 1), -1)])
     with pytest.raises(ValueError):
-        poly_power_row((), 3)
+        poly_power_row([((), 3)])
     with pytest.raises(ValueError):
-        poly_power_row((0, 1), 3)
+        poly_power_row([((0, 1), 3)])
     with pytest.raises(ValueError):
-        poly_power_row((1, 1), 3, 0)
+        poly_power_row([((1, 1), 3)], 0)
 
 
 def test_poly_power_row_refuses_non_exact_division():
     # (1 + y/2)**2 = 1 + y + y**2/4: the division for the y**2 coefficient leaves a remainder.
     with pytest.raises(ValueError, match="not an integer"):
-        poly_power_row((1, Fraction(1, 2)), 2)
+        poly_power_row([((1, Fraction(1, 2)), 2)])
+
+
+@pytest.mark.parametrize(
+    "factor, terms",
+    [(((1, 1), -1), None), (((), 3), None), (((0, 1), 3), None), (((0, 1), 0), None), (((1, 1), 3), 0),
+     # (1 + y)**2 * (1 + y/2)**2 has y**2 coefficient 1 + 2 + 1/4.
+     (((1, Fraction(1, 2)), 2), None)],
+)
+def test_poly_power_row_refuses_a_bad_second_factor(factor, terms):
+    with pytest.raises(ValueError):
+        poly_power_row([((1, 1), 2), factor], terms)
