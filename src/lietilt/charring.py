@@ -27,7 +27,6 @@ __all__ = [
     "ConsistencyError",
     "Partition2",
     "SymCharacter",
-    "lambda_of",
     "two_row_partitions",
     "weight_set",
 ]
@@ -213,10 +212,6 @@ class Partition2(_Partition2Fields):
         return cls(*iterable)
 
     @property
-    def degree(self) -> int:
-        return self.lambda1 + self.lambda2
-
-    @property
     def weight(self) -> int:
         """Row difference: the restriction of this highest weight to SL(2)."""
         return self.lambda1 - self.lambda2
@@ -226,14 +221,6 @@ class Partition2(_Partition2Fields):
         if prime_char(p) == 2:
             return self.lambda2 == 0 or self.lambda1 > self.lambda2
         return True
-
-
-def lambda_of(m: int, r: int) -> Partition2:
-    """The unique two-row partition of r with row difference m."""
-    m, r = operator.index(m), operator.index(r)
-    if m < 0 or m > r or (r - m) % 2:
-        raise ValueError(f"no two-row partition of {r} has row difference {m}")
-    return Partition2((r + m) // 2, (r - m) // 2)
 
 
 def weight_set(r: int) -> tuple[int, ...]:

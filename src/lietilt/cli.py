@@ -21,8 +21,8 @@ import sys
 from .charring import ConsistencyError
 from .gzeta import gzeta_profile, is_p_power, theorem_b_predicate
 from .liechar import LieDecompReport, lie_tilting_decomp, stohr_pairs, stohr_tilting_decomp
-from .modarith import prime_char
-from .report import theorem_37_report, theorem_a_report, theorem_c_report
+from .modarith import at_least, prime_char
+from .report import theorem_a_report, theorem_c_report
 from .tiltchar import tensor_power_decomp
 
 __all__ = ["build_parser", "main"]
@@ -100,7 +100,7 @@ def payload_tensor(r: int, p: int) -> dict:
 
 def _lie_payload(kind: str, rep: LieDecompReport) -> dict:
     dec = rep.decomposition
-    return _payload(kind, rep.r, rep.p, basis=dec.basis.value, entries=_entries_obj(dec.entries),
+    return _payload(kind, dec.r, dec.p, basis=dec.basis.value, entries=_entries_obj(dec.entries),
                     verdict=rep.verdict.value)
 
 
@@ -140,7 +140,7 @@ def payload_theorem_c(r: int, p: int) -> dict:
 
 
 def payload_theorem_37(r: int, p: int) -> dict:
-    return _lie_payload("theorem-37", theorem_37_report(r))
+    return _lie_payload("theorem-37", lie_tilting_decomp(at_least(r, 7, "degree"), 2))
 
 
 def _pick(payload: dict, *keys: str) -> dict:

@@ -140,11 +140,9 @@ class Verdict(str, Enum):
 
 
 class LieDecompReport(NamedTuple):
-    """A Lie power character with its tilting-basis content and verdict."""
+    """The tilting-basis content of a Lie power, which carries its degree
+    and characteristic, with the verdict it supports."""
 
-    r: int
-    p: int
-    character: SymCharacter
     decomposition: Decomposition
     verdict: Verdict
 
@@ -160,8 +158,7 @@ def lie_tilting_decomp(r: int, p: int) -> LieDecompReport:
     """
     p = prime_char(p)
     r = operator.index(r)
-    chi = char_lie_power(r)
-    dec = decompose(chi, Basis.TILTING, r, p)
+    dec = decompose(char_lie_power(r), Basis.TILTING, r, p)
     if r % p:
         if not dec.is_nonnegative:
             raise ConsistencyError(f"negative tilting multiplicity at r={r}, p={p} with p not dividing r")
@@ -170,7 +167,7 @@ def lie_tilting_decomp(r: int, p: int) -> LieDecompReport:
         verdict = Verdict.NOT_TILTING_CERTIFIED
     else:
         verdict = Verdict.INCONCLUSIVE
-    return LieDecompReport(r, p, chi, dec, verdict)
+    return LieDecompReport(dec, verdict)
 
 
 def l4_weyl2_composition_factors() -> Decomposition:

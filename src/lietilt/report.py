@@ -1,14 +1,15 @@
 """Classification reports over two-row highest weights.
 
-Three sweeps, one per classification result carried by the CLI:
+Two sweeps over the rows of one degree:
 
 * theorem_a_report: characteristic 2, which tilting summands occur in a
   Lie power, every row carrying the evidence used to certify it;
 * theorem_c_report: odd characteristic, prime-power and twice-prime-power
   degrees, with the stated exception lists and a per-row necessary
-  character condition;
-* theorem_37_report: characteristic 2 parity dichotomy, with signed
-  certificates for even degrees.
+  character condition.
+
+The CLI's theorem-37 verdict, the characteristic 2 parity dichotomy, is
+liechar.lie_tilting_decomp(r, 2) for r >= 7: it needs no sweep.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .charring import ConsistencyError, Partition2, two_row_partitions
 from .gzeta import is_p_power, theorem_b_predicate
-from .liechar import (
-    LieDecompReport,
-    char_lie_power,
-    lie_tilting_decomp,
-    stohr_summand,
-    stohr_tilting_decomp,
-)
+from .liechar import char_lie_power, stohr_summand, stohr_tilting_decomp
 from .modarith import at_least, prime_char, witt_weight_count
 from .tiltchar import tilting_bands
 
@@ -34,7 +29,6 @@ __all__ = [
     "TheoremARow",
     "TheoremCClause",
     "TheoremCRow",
-    "theorem_37_report",
     "theorem_a_report",
     "theorem_c_report",
 ]
@@ -162,15 +156,3 @@ def theorem_c_report(r: int, p: int) -> list[TheoremCRow]:
             raise ConsistencyError(f"near-top row disagrees with the coefficient-sequence engine at r={r}, p={p}")
         rows.append(TheoremCRow(clause, lam, claimed, _char_consistent(mults, lam.weight, p)))
     return rows
-
-
-def theorem_37_report(r: int) -> LieDecompReport:
-    """Tilting status of the degree-r Lie power in characteristic 2.
-
-    This is lie_tilting_decomp(r, 2) for r > 6.  Odd degrees come back
-    tilting, as lie_tilting_decomp refuses a negative coefficient when p
-    does not divide r; even degrees are either certified non-tilting by a
-    negative coefficient or left inconclusive, never reported tilting.
-    """
-    return lie_tilting_decomp(at_least(r, 7, "degree"), 2)
-

@@ -198,13 +198,6 @@ class Decomposition(_DecompositionFields):
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.entries.values())
 
-    def reconstruct(self) -> SymCharacter:
-        """Sum the basis characters back up; exact inverse of decompose."""
-        out = SymCharacter()
-        for m in self.support:
-            out = out + basis_char(self.basis, m, self.p).scale(self.entries[m])
-        return out
-
     @property
     def dimension(self) -> int:
         """Signed dimension: sum of coefficient times basis-member dimension."""

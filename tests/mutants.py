@@ -69,6 +69,9 @@ MUTANTS = {
     # The payload envelope: the provenance comes after the command's own fields.
     "provenance-before-fields": ("cli.py", '**fields, "provenance": PROVENANCE[kind]}',
                                  '"provenance": PROVENANCE[kind], **fields}', "test_cli.py"),
+    # theorem-37 refuses a degree below 7 itself; lie_tilting_decomp takes any degree.
+    "theorem-37-degree-bound": ("cli.py", 'lie_tilting_decomp(at_least(r, 7, "degree"), 2)', "lie_tilting_decomp(r, 2)",
+                                "test_cli.py"),
     # Only a range prints as a json array; a single --r prints one object.
     "json-single-as-array": ("cli.py", "json.dumps(payloads[0] if single else payloads,", "json.dumps(payloads,",
                              "test_cli.py"),

@@ -11,7 +11,6 @@ from lietilt.charring import (
     _TOP_MAX,
     Partition2,
     SymCharacter,
-    lambda_of,
     two_row_partitions,
     weight_set,
 )
@@ -299,7 +298,7 @@ def test_weight_dilation_is_a_ring_map(data):
 
 def test_partition2_basic():
     lam = Partition2(5, 2)
-    assert lam.degree == 7
+    assert sum(lam) == 7
     assert lam.weight == 3
     with pytest.raises(ValueError):
         Partition2(2, 5)
@@ -313,30 +312,6 @@ def test_partition2_regularity():
     assert not Partition2(3, 3).is_p_regular(2)
     assert Partition2(3, 3).is_p_regular(3)
     assert Partition2(0, 0).is_p_regular(2)
-
-
-def test_lambda_of_round_trip():
-    for r in range(1, 51):
-        weights = list(weight_set(r)) + ([0] if r % 2 == 0 else [])
-        for m in weights:
-            lam = lambda_of(m, r)
-            assert lam.degree == r
-            assert lam.weight == m
-
-
-def test_lambda_of_known():
-    assert lambda_of(4, 6) == Partition2(5, 1)
-    assert lambda_of(0, 6) == Partition2(3, 3)
-    assert lambda_of(3, 3) == Partition2(3, 0)
-
-
-def test_lambda_of_validates():
-    with pytest.raises(ValueError):
-        lambda_of(1, 4)
-    with pytest.raises(ValueError):
-        lambda_of(5, 3)
-    with pytest.raises(ValueError):
-        lambda_of(-2, 4)
 
 
 def test_weight_set():

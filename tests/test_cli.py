@@ -343,7 +343,6 @@ def test_report_all_decomposes_each_lie_power_once(capsys, monkeypatch):
         return lie_tilting_decomp(r, p)
 
     monkeypatch.setattr("lietilt.cli.lie_tilting_decomp", counting_lie_tilting_decomp)
-    monkeypatch.setattr("lietilt.report.lie_tilting_decomp", counting_lie_tilting_decomp)
     assert main(["report-all", "--r-min", "7", "--r-max", "12"]) == 0
     capsys.readouterr()
     assert decomposed == list(range(7, 13))
@@ -443,6 +442,10 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["stohr", "--r", "3"]) == 2  # the bidegree splitting starts at degree 4
     assert capsys.readouterr().err == "error: degree must be at least 4, got 3\n"
+    assert main(["theorem-37", "--r", "6"]) == 2  # the command, not lie_tilting_decomp, bounds the degree
+    assert capsys.readouterr().err == "error: degree must be at least 7, got 6\n"
+    assert main(["theorem-37", "--r-min", "5", "--r-max", "8"]) == 2  # a range stops at its first such degree
+    assert capsys.readouterr().err == "error: degree must be at least 7, got 5\n"
     missing = tmp_path / "missing" / "x.json"
     assert main(["decompose-tensor", "--r", "3", "--p", "2", "--out", str(missing)]) == 2  # I/O error
     err = capsys.readouterr().err
@@ -487,10 +490,10 @@ def test_witt_remainder_exits_one_without_asserts():
 def test_exit_code_table(argv, stdout, code, tmp_path, capsys, monkeypatch):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if stdout is None:  # in process, with a forced verification failure
-        def boom(r):
+        def boom(r, p):
             raise ConsistencyError("forced")
 
-        monkeypatch.setattr("lietilt.cli.theorem_37_report", boom)
+        monkeypatch.setattr("lietilt.cli.lie_tilting_decomp", boom)
         assert main(argv) == code
         err = capsys.readouterr().err
         assert "verification failure" in err

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lietilt import liechar
-from lietilt.charring import ConsistencyError, SymCharacter, lambda_of, weight_set
+from lietilt.charring import ConsistencyError, Partition2, SymCharacter, weight_set
 from lietilt.liechar import (
     StohrSummand,
     Verdict,
@@ -205,7 +205,7 @@ def test_stohr_tilting_decomp_pattern():
             assert dec.coefficient(2 * x.s + x.t) == 1
             # Each weight names a 2-regular partition of r with second row >= t.
             for m in dec.support:
-                lam = lambda_of(m, r)
+                lam = Partition2((r + m) // 2, (r - m) // 2)
                 assert lam.is_p_regular(2)
                 assert lam.lambda2 >= x.t
 
@@ -278,13 +278,14 @@ def test_lie_tilting_decomp_dimension_conserved():
 def test_lie_tilting_decomp_round_trip():
     for p in (2, 3):
         for r in range(1, 19):
-            rep = lie_tilting_decomp(r, p)
-            assert rep.decomposition.reconstruct() == char_lie_power(r)
+            entries = lie_tilting_decomp(r, p).decomposition.entries
+            assert sum((char_tilting(m, p).scale(c) for m, c in entries.items()), SymCharacter()) == char_lie_power(r)
 
 
 def test_lie_tilting_decomp_even_degree_verdicts_char_two():
     # Multiples of 4 carry a certified negative coefficient; the other
-    # even degrees decompose nonnegatively but stay uncertified.
+    # even degrees decompose nonnegatively but stay uncertified.  From r = 7
+    # on these are the theorem-37 verdicts; odd degrees come back tilting.
     for r in (4, 8, 12, 16, 20):
         assert lie_tilting_decomp(r, 2).verdict is Verdict.NOT_TILTING_CERTIFIED
     for r in (6, 10, 14, 18):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lietilt.charring import Partition2, SymCharacter, lambda_of, two_row_partitions, weight_set
+from lietilt.charring import Partition2, SymCharacter, two_row_partitions, weight_set
 from lietilt.gzeta import (
     c_sequence,
     gzeta_profile,
@@ -24,7 +24,7 @@ from lietilt.modarith import (
     prime_char,
     witt_weight_count,
 )
-from lietilt.report import theorem_37_report, theorem_a_report, theorem_c_report
+from lietilt.report import theorem_a_report, theorem_c_report
 from lietilt.tiltchar import (
     Basis,
     Decomposition,
@@ -135,8 +135,6 @@ TAKES_DEGREE = {
     "tensor_power_decomp": lambda n: tensor_power_decomp(n, 3),
     "weyl_twist_identity n": lambda n: weyl_twist_identity(n, 0, 3),
     "weyl_twist_identity i": lambda n: weyl_twist_identity(2, n, 11),
-    "lambda_of m": lambda n: lambda_of(n, 11),
-    "lambda_of r": lambda n: lambda_of(1, n),
     "weight_set": weight_set,
     "two_row_partitions": two_row_partitions,
     "char_lie_power": char_lie_power,
@@ -153,7 +151,6 @@ TAKES_DEGREE = {
     "stohr_summand t": lambda n: stohr_summand(1, n),
     "stohr_pairs": stohr_pairs,
     "theorem_a_report": theorem_a_report,
-    "theorem_37_report": theorem_37_report,
     "Partition2 lambda1": lambda n: Partition2(n, 1),
     "Partition2 lambda2": lambda n: Partition2(11, n),
     "mobius": mobius,

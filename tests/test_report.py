@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lietilt.charring import Partition2, SymCharacter
-from lietilt.liechar import Verdict, char_lie_power, lie_tilting_decomp
+from lietilt.liechar import char_lie_power
 from lietilt.report import (
     Evidence,
     TheoremCClause,
     _char_consistent,
-    theorem_37_report,
     theorem_a_report,
     theorem_c_report,
 )
@@ -220,31 +219,3 @@ def test_theorem_c_report_validates():
         theorem_c_report(12, 3)
     with pytest.raises(ValueError):
         theorem_c_report(6, 3)  # (pm + 2, pm - 2) would be the near-top row
-
-
-# -- parity dichotomy ---------------------------------------------------
-
-
-def test_theorem_37_report_known():
-    assert theorem_37_report(7).verdict is Verdict.TILTING
-    assert theorem_37_report(8).verdict is Verdict.NOT_TILTING_CERTIFIED
-    assert theorem_37_report(10).verdict is Verdict.INCONCLUSIVE
-
-
-def test_theorem_37_report_sweep():
-    for r in range(7, 25, 2):
-        assert theorem_37_report(r).verdict is Verdict.TILTING
-    for r in range(8, 25, 2):
-        assert theorem_37_report(r).verdict is not Verdict.TILTING
-
-
-def test_theorem_37_report_is_the_characteristic_2_lie_decomposition():
-    # report-all takes its theorem-37 verdict from decompose-lie's payload, so the two must agree.
-    for r in range(7, 81):
-        rep, lie = theorem_37_report(r), lie_tilting_decomp(r, 2)
-        assert (rep.decomposition, rep.verdict) == (lie.decomposition, lie.verdict), r
-
-
-def test_theorem_37_report_validates():
-    with pytest.raises(ValueError):
-        theorem_37_report(6)
