@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lietilt.charring import Partition2, SymCharacter
-from lietilt.liechar import char_lie_power
+from lietilt.cli import payload_theorem_37
+from lietilt.liechar import Verdict, char_lie_power
 from lietilt.report import (
     Evidence,
     TheoremCClause,
@@ -219,3 +220,25 @@ def test_theorem_c_report_validates():
         theorem_c_report(12, 3)
     with pytest.raises(ValueError):
         theorem_c_report(6, 3)  # (pm + 2, pm - 2) would be the near-top row
+
+
+# -- parity dichotomy ---------------------------------------------------
+# The theorem-37 report is the CLI payload over lie_tilting_decomp(r, 2), with the command's own r >= 7 bound.
+
+
+def test_theorem_37_report_known():
+    assert payload_theorem_37(7, 2)["verdict"] == Verdict.TILTING
+    assert payload_theorem_37(8, 2)["verdict"] == Verdict.NOT_TILTING_CERTIFIED
+    assert payload_theorem_37(10, 2)["verdict"] == Verdict.INCONCLUSIVE
+
+
+def test_theorem_37_report_sweep():
+    for r in range(7, 25, 2):
+        assert payload_theorem_37(r, 2)["verdict"] == Verdict.TILTING
+    for r in range(8, 25, 2):
+        assert payload_theorem_37(r, 2)["verdict"] != Verdict.TILTING
+
+
+def test_theorem_37_report_validates():
+    with pytest.raises(ValueError):
+        payload_theorem_37(6, 2)
