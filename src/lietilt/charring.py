@@ -11,8 +11,10 @@ non-negativity where they need it.
 
 Mixing parities in a sum is a hard error rather than a silent union: it
 always indicates that two characters from different degrees were combined by
-mistake.  A product pairs the two rows orbit by orbit.  Other modules build
-and read characters through SymCharacter.from_row and SymCharacter.row.
+mistake.  A product is the product of the two polynomials P, through
+modarith.convolve, cut at the zero weight.  Other modules build characters
+through SymCharacter.from_row and read them through SymCharacter.row or
+SymCharacter.poly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import operator
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .modarith import ConsistencyError, at_least, prime_char
+from .modarith import ConsistencyError, at_least, convolve, prime_char
 
 __all__ = [
     "ConsistencyError",
@@ -72,6 +74,12 @@ class SymCharacter:
         """Multiplicities at max_weight, max_weight - 2, ..., max_weight % 2."""
         return self._row
 
+    @property
+    def poly(self) -> tuple[int, ...]:
+        """Multiplicities at max_weight, max_weight - 2, ..., -max_weight: the
+        coefficients of P in x**max_weight * P(x**-2); () for the zero character."""
+        return self._row + (self._row[::-1] if self.parity else self._row[-2::-1])
+
     def multiplicity(self, w: int) -> int:
         w = operator.index(w)
         j, odd = divmod(self._top - abs(w), 2) if self._row else (-1, 0)
@@ -93,7 +101,7 @@ class SymCharacter:
     @property
     def dim(self) -> int:
         """Signed total of all multiplicities, negative weights included."""
-        return 2 * sum(self._row) - self.multiplicity(0)
+        return sum(self.poly)
 
     @property
     def is_zero(self) -> bool:
@@ -128,24 +136,8 @@ class SymCharacter:
             return NotImplemented
         if not self._row or not other._row:
             return SymCharacter()
-        # Pair the stored weights orbit by orbit: for u, v > 0,
-        # (x^u + x^-u)(x^v + x^-v) is the orbit of u + v plus the orbit of
-        # |u - v|, which is 2 at weight 0 when u = v.  The orbit of 0 is 1.
-        # With u = at - 2i and v = bt - 2j, u + v is entry i + j of the
-        # product's row, and |u - v| entry bt + i - j if u >= v, else
-        # at - i + j.  The outer loop runs over the shorter row.
-        a, b = sorted((self, other), key=lambda chi: len(chi._row))
-        at, bt = a._top, b._top
-        out = [0] * ((at + bt) // 2 + 1)
-        right = [(j, bt - 2 * j, y) for j, y in enumerate(b._row) if y]
-        for i, x in enumerate(a._row):
-            u = at - 2 * i
-            for j, v, y in right:
-                xy = x * y
-                out[i + j] += xy
-                if u and v:
-                    out[bt + i - j if u >= v else at - i + j] += xy if u != v else xy + xy
-        return _trimmed(at + bt, tuple(out))
+        top = self._top + other._top
+        return _trimmed(top, tuple(convolve(self.poly, other.poly, top // 2 + 1)))
 
     def scale_weights(self, k: int) -> "SymCharacter":
         """Pull every weight w to k*w, keeping its multiplicity."""

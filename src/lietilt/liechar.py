@@ -15,7 +15,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .charring import ConsistencyError, SymCharacter, weight_set
-from .modarith import at_least, divisors, mobius, poly_power_row, prime_char, witt_weight_count
+from .modarith import at_least, mobius_divisors, poly_power_row, prime_char, witt_weight_count
 from .tiltchar import Basis, Decomposition, char_weyl, decompose
 
 __all__ = [
@@ -50,25 +50,21 @@ def lie_power_char(chi: SymCharacter, r: int) -> SymCharacter:
     Witt's necklace sum (1/r) * sum over d | r of mobius(d) * chi_d**(r/d),
     where chi_d dilates the weights of chi by d.  Valid in every
     characteristic because the Lyndon basis is integral.  Write chi as
-    x**top * P(y) with y = x**-2: chi_d**(r/d) is x**(r*top) times P(y**d)**(r/d),
-    so each squarefree d adds mobius(d) times the coefficient row of
-    P**(r/d) at every d-th power of y.  Only the powers up to the zero weight
-    are built, and the division by r is exact and checked.
+    x**top * P(y) with y = x**-2, P read from chi.poly: chi_d**(r/d) is
+    x**(r*top) times P(y**d)**(r/d), so each squarefree d adds mobius(d)
+    times the coefficient row of P**(r/d) at every d-th power of y.  Only the
+    powers up to the zero weight are built, and the division by r is exact
+    and checked.
     """
     r = at_least(r, 1, "degree")
     if chi.is_zero:
         return SymCharacter()
-    top, row = chi.max_weight, chi.row
-    # P runs over the weights top, top - 2, ..., -top: the row, then its
-    # mirror image with the zero weight taken once.
-    coeffs = row + (row[::-1] if top % 2 else row[-2::-1])
+    top, coeffs = chi.max_weight, chi.poly
     half = r * top // 2
     acc = [0] * (half + 1)
-    for d in divisors(r):
-        mu = mobius(d)
-        if mu:
-            power = poly_power_row([(coeffs, r // d)], half // d + 1)
-            acc[::d] = [a + mu * c for a, c in zip(acc[::d], power)]
+    for d, mu in mobius_divisors(r):
+        power = poly_power_row([(coeffs, r // d)], half // d + 1)
+        acc[::d] = [a + mu * c for a, c in zip(acc[::d], power)]
     for i, a in enumerate(acc):
         acc[i], rem = divmod(a, r)
         if rem:

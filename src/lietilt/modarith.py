@@ -1,10 +1,11 @@
 """Exact modular and combinatorial arithmetic.
 
 Prime validation, the bound check on every degree, weight and count argument,
-the coefficient rows of products of powers of integer polynomials, the
-Moebius function, the Witt counting formulas for graded components of a free
-Lie algebra on two letters, and ConsistencyError, the package's error for a
-failed structural check.  Everything is exact integer arithmetic;
+the one product of integer coefficient lists, the coefficient rows of
+products of powers of integer polynomials, the squarefree divisors of n with
+their Moebius values, the Witt counting formulas for graded components of a
+free Lie algebra on two letters, and ConsistencyError, the package's error
+for a failed structural check.  Everything is exact integer arithmetic;
 nothing here depends on the rest of the package.
 """
 
@@ -17,8 +18,8 @@ from typing import Sequence
 # ConsistencyError is defined here, below every other module, and exported
 # once, from charring.
 __all__ = [
-    "divisors",
-    "mobius",
+    "convolve",
+    "mobius_divisors",
     "poly_power_row",
     "prime_char",
     "witt_weight_count",
@@ -85,11 +86,28 @@ def at_least(n: int, least: int, what: str) -> int:
     return n
 
 
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+def convolve(a: Sequence[int], b: Sequence[int], terms: int | None = None) -> list[int]:
+    """Coefficients c_0, c_1, ... of A(y)*B(y), where A(y) = a[0] + a[1]*y +
+    ... and B(y) likewise: all len(a) + len(b) - 1 of them, or the first
+    `terms` when that is smaller.  Empty lists are refused.
+
+    The outer loop runs over the shorter list; each of its nonzero entries
+    adds a multiple of the longer one, cut at the last wanted term, in one
+    slice assignment.
+    """
+    if not a or not b:
+        raise ValueError("need two nonempty coefficient lists")
+    n = len(a) + len(b) - 1
+    if terms is not None:
+        n = min(n, at_least(terms, 1, "terms"))
+    if len(a) > len(b):
+        a, b = b, a
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            tail = b[: n - i]
+            end = i + len(tail)
+            out[i:end] = [c + x * y for c, y in zip(out[i:end], tail)]
     return out
 
 
@@ -108,13 +126,14 @@ def poly_power_row(factors: Sequence[tuple[Sequence[int], int]], terms: int | No
     exact for integer polynomials, and checked: a remainder raises ValueError.
     [((1, 1), n)] gives the binomial row C(n, 0), ..., C(n, n).
     """
-    d, e, row, last = [1], [], [1], 0  # len(e) == len(d) - 1
+    d, e, row, last = [1], [0], [1], 0  # E has a zero top entry, so len(e) == len(d)
     for coeffs, n in factors:
         n = at_least(n, 0, "exponent")
         if not coeffs or not coeffs[0]:
             raise ValueError(f"need a polynomial with nonzero constant term, got {list(coeffs)}")
-        pd = _convolve([i * c for i, c in enumerate(coeffs)][1:], d)  # P'*D with the old D
-        d, e = _convolve(d, coeffs), [x + n * y for x, y in zip(_convolve(e, coeffs), pd)]
+        # P'*D with the old D, P' padded with one zero to the length of P.
+        pd = convolve([i * c for i, c in enumerate(coeffs)][1:] + [0], d)
+        d, e = convolve(d, coeffs), [x + n * y for x, y in zip(convolve(e, coeffs), pd)]
         row[0] *= coeffs[0] ** n
         last += n * (len(coeffs) - 1)
     if terms is not None:
@@ -134,54 +153,39 @@ def poly_power_row(factors: Sequence[tuple[Sequence[int], int]], terms: int | No
     return row
 
 
-def divisors(n: int) -> list[int]:
-    """Positive divisors of n, ascending."""
+def mobius_divisors(n: int) -> list[tuple[int, int]]:
+    """The pairs (d, mobius(d)) for the squarefree divisors d of n, ascending
+    in d: every divisor with a nonzero Moebius value, from one factorisation
+    of n."""
     n = at_least(n, 1, "n")
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def mobius(n: int) -> int:
-    """Moebius function: 0 on non-squarefree n, else (-1)**(number of prime factors)."""
-    n = at_least(n, 1, "n")
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
+    primes = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
     if n > 1:
-        out = -out
-    return out
+        primes.append(n)
+    out = [(1, 1)]
+    for q in primes:
+        out += [(d * q, -mu) for d, mu in out]
+    return sorted(out)
 
 
 def witt_weight_count(r: int, i: int) -> int:
     """Number of Lyndon words of length r over two letters with i second letters.
 
-    Moebius-weighted binomial sum over the common divisors of r and i (with
-    gcd(k, 0) = k); the division by the length r is exact, and checked: a
-    remainder raises ConsistencyError.  The value at i and at r - i agree,
-    so these counts form a symmetric weight profile.
+    Moebius-weighted binomial sum over the squarefree common divisors of r
+    and i (with gcd(k, 0) = k); the division by the length r is exact, and
+    checked: a remainder raises ConsistencyError.  The value at i and at
+    r - i agree, so these counts form a symmetric weight profile.
     """
     r, i = at_least(r, 1, "length"), at_least(i, 0, "i")
     if i > r:
         raise ValueError(f"need 0 <= i <= {r}, got {i}")
-    acc = 0
-    for d in divisors(math.gcd(r, i)):
-        mu = mobius(d)
-        if mu:
-            acc += mu * math.comb(r // d, i // d)
+    acc = sum(mu * math.comb(r // d, i // d) for d, mu in mobius_divisors(math.gcd(r, i)))
     q, rem = divmod(acc, r)
     if rem:
         raise ConsistencyError(f"Witt sum {acc} at r={r}, i={i} is not divisible by the word length {r}")

@@ -191,10 +191,6 @@ class Decomposition(_DecompositionFields):
         return self.entries.get(m, 0)
 
     @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(self.entries)
-
-    @property
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.entries.values())
 

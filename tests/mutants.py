@@ -26,15 +26,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 MUTANTS = {
-    # u = v pairs put 2ab at weight 0, not ab.
-    "mul-weight-0-orbit": ("charring.py", "+= xy if u != v else xy + xy", "+= xy", "test_charring.py"),
+    # Every product of characters runs through convolve; each row of it must reach the last wanted term.
+    "convolve-truncation": ("modarith.py", "b[: n - i]", "b[: n - i - 1]", "test_charring.py"),
+    # Witt's necklace sum needs the Moebius signs, not only the squarefree divisors.
+    "mobius-sign": ("modarith.py", "(d * q, -mu)", "(d * q, mu)", "test_liechar.py"),
     # Donkin: each factor n of T(b) gives p*n + p - 1 + a and p*n + p - 1 - a.
     "donkin-shift-sign": ("tiltchar.py", "shifts = (a, -a) if a else (0,)", "shifts = (a, a) if a else (0,)",
                           "test_tiltchar.py"),
     "miller-recurrence": ("modarith.py", "acc += (fixed - k * c) * row[k - i]", "acc += (fixed + k * c) * row[k - i]",
                           "test_modarith.py"),
     # Without E*P the first factor's row stays right; a product of two powers, as in a Stohr row, goes wrong.
-    "product-e-update": ("modarith.py", "zip(_convolve(e, coeffs), pd)", "zip(e + [0] * (len(coeffs) - 1), pd)",
+    "product-e-update": ("modarith.py", "zip(convolve(e, coeffs), pd)", "zip(e + [0] * (len(coeffs) - 1), pd)",
                          "test_liechar.py"),
     # A tilting step must subtract every Weyl factor of T(w).
     "tilting-step-two-factors": ("tiltchar.py", "for u in tilting_weyl_factors(w, p) if",

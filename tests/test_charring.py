@@ -261,6 +261,26 @@ def test_from_row_and_row_round_trip():
         SymCharacter.from_row(-1, ())
 
 
+def test_poly_known():
+    assert SymCharacter({5: 2, 1: -1}).poly == (2, 0, -1, -1, 0, 2)  # odd: the weight-1 entry twice
+    assert SymCharacter({2: 1, 0: 3}).poly == (1, 3, 1)  # even: the zero weight once
+    assert SymCharacter({0: 4}).poly == (4,)
+    assert SymCharacter().poly == ()
+
+
+@settings(deadline=None, max_examples=200)
+@given(weight_maps())
+def test_poly_is_the_mirrored_row(weights):
+    chi, ref = SymCharacter(weights), DictCharacter(weights)
+    poly = chi.poly
+    assert poly == poly[::-1]
+    assert sum(poly) == ref.dim
+    if not chi.is_zero:
+        top = chi.max_weight
+        assert len(poly) == top + 1
+        assert SymCharacter.from_row(top, poly[: top // 2 + 1]) == chi
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_dim_additive_and_multiplicative(data):

@@ -17,6 +17,7 @@ from lietilt import cli
 from lietilt.charring import ConsistencyError
 from lietilt.cli import main
 from lietilt.liechar import lie_tilting_decomp
+from lietilt.modarith import mobius_divisors
 
 GOLDEN_TENSOR = (
     '{"r":3,"p":2,"kind":"tensor-power","basis":"tilting","entries":{"3":1,"1":2},'
@@ -455,8 +456,8 @@ def test_domain_errors_exit_two(tmp_path, capsys):
 
 
 def test_witt_remainder_exits_one(capsys, monkeypatch):
-    # A wrong Moebius value leaves a remainder in witt_weight_count(8, 0), which theorem-a reads.
-    monkeypatch.setattr("lietilt.modarith.mobius", lambda d: int(d == 1))
+    # Wrong Moebius signs leave a remainder in witt_weight_count(8, 0), which theorem-a reads.
+    monkeypatch.setattr("lietilt.modarith.mobius_divisors", lambda n: [(d, 1) for d, _ in mobius_divisors(n)])
     assert main(["theorem-a", "--r", "8"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -467,7 +468,8 @@ def test_witt_remainder_exits_one(capsys, monkeypatch):
 def test_witt_remainder_exits_one_without_asserts():
     # Under python -O every assert statement is gone; the check must not be one.
     src = str(Path(lietilt.__file__).parents[1])
-    code = ("import sys, lietilt.modarith as m; m.mobius = lambda d: int(d == 1); "
+    code = ("import sys, lietilt.modarith as m; signs = m.mobius_divisors; "
+            "m.mobius_divisors = lambda n: [(d, 1) for d, _ in signs(n)]; "
             "from lietilt.cli import main; sys.exit(main(['theorem-a', '--r', '8']))")
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)

@@ -17,7 +17,7 @@ from lietilt.liechar import (
     stohr_summand,
     stohr_tilting_decomp,
 )
-from lietilt.modarith import witt_weight_count
+from lietilt.modarith import mobius_divisors, witt_weight_count
 from lietilt.tiltchar import Basis, char_tilting, char_weyl, decompose
 
 from oracles import (
@@ -69,7 +69,7 @@ def test_char_lie_power_matches_witt_weight_count():
 
 def test_char_lie_power_refuses_non_exact_division(monkeypatch):
     # With every Moebius sign +1, the weight-3 sum at r = 3 is C(3, 0) + C(1, 0) = 2.
-    monkeypatch.setattr(liechar, "mobius", lambda d: 1)
+    monkeypatch.setattr(liechar, "mobius_divisors", lambda n: [(d, 1) for d, _ in mobius_divisors(n)])
     with pytest.raises(ConsistencyError, match="not divisible by 3 at weight 3"):
         char_lie_power(3)
 
@@ -204,7 +204,7 @@ def test_stohr_tilting_decomp_pattern():
             # Highest term appears exactly once.
             assert dec.coefficient(2 * x.s + x.t) == 1
             # Each weight names a 2-regular partition of r with second row >= t.
-            for m in dec.support:
+            for m in dec.entries:
                 lam = Partition2((r + m) // 2, (r - m) // 2)
                 assert lam.is_p_regular(2)
                 assert lam.lambda2 >= x.t

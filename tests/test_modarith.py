@@ -18,8 +18,8 @@ from lietilt.gzeta import (
 from lietilt.liechar import char_lie_power, lie_power_char, lie_tilting_decomp, stohr_pairs, stohr_summand
 from lietilt.modarith import (
     ConsistencyError,
-    divisors,
-    mobius,
+    convolve,
+    mobius_divisors,
     poly_power_row,
     prime_char,
     witt_weight_count,
@@ -42,6 +42,7 @@ from lietilt.tiltchar import (
 )
 from oracles import (
     binom_mod,
+    divisors_of,
     lyndon_count,
     lyndon_second_letter_counts,
     lyndon_words,
@@ -153,8 +154,8 @@ TAKES_DEGREE = {
     "theorem_a_report": theorem_a_report,
     "Partition2 lambda1": lambda n: Partition2(n, 1),
     "Partition2 lambda2": lambda n: Partition2(11, n),
-    "mobius": mobius,
-    "divisors": divisors,
+    "mobius_divisors": mobius_divisors,
+    "convolve terms": lambda n: convolve([1, 1], [1, 2, 1], n),
     "witt_weight_count r": lambda n: witt_weight_count(n, 2),
     "witt_weight_count i": lambda n: witt_weight_count(11, n),
     "poly_power_row n": lambda n: poly_power_row([((1, 1), 2), ((1, 1, 1), n)]),
@@ -210,30 +211,51 @@ def test_binom_mod_prime_power_row_alternates(p):
 
 
 def test_mobius_small_values():
-    assert mobius(1) == 1
-    assert mobius(2) == -1
-    assert mobius(6) == 1
-    assert mobius(12) == 0
-    assert mobius(30) == -1
+    assert mobius_divisors(1) == [(1, 1)]
+    assert mobius_divisors(2) == [(1, 1), (2, -1)]
+    assert mobius_divisors(12) == [(1, 1), (2, -1), (3, -1), (6, 1)]
+    assert mobius_divisors(30) == [(1, 1), (2, -1), (3, -1), (5, -1), (6, 1), (10, 1), (15, 1), (30, -1)]
 
 
 def test_mobius_matches_sieve():
     mu = sieve_mobius(2000)
     for n in range(1, 2001):
-        assert mobius(n) == mu[n]
+        assert mobius_divisors(n) == [(d, mu[d]) for d in divisors_of(n) if mu[d]]
 
 
 def test_mobius_rejects_nonpositive():
     with pytest.raises(ValueError):
-        mobius(0)
+        mobius_divisors(0)
 
 
 def test_divisors():
-    assert divisors(1) == [1]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(49) == [1, 7, 49]
+    # Only the squarefree divisors, ascending, each once.
+    assert [d for d, _ in mobius_divisors(49)] == [1, 7]
+    assert [d for d, _ in mobius_divisors(360)] == [1, 2, 3, 5, 6, 10, 15, 30]
+    assert [d for d, _ in mobius_divisors(2**40)] == [1, 2]
+    assert [d for d, _ in mobius_divisors(2 * 10007)] == [1, 2, 10007, 20014]
+
+
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=12),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=12),
+    st.integers(1, 30),
+)
+@example([2], [1, -1, 3], 2)
+@example([1, 0, -4, 5], [3], 9)
+def test_convolve_matches_schoolbook_product(a, b, terms):
+    # Unequal lengths either way round, terms above the full length, zero and negative entries.
+    full = polynomial_product(a, b)
+    assert convolve(a, b) == full
+    assert convolve(a, b, terms) == full[:terms]
+
+
+def test_convolve_validates():
+    for a, b in (([], [1]), ([1], []), ([], [])):
+        with pytest.raises(ValueError):
+            convolve(a, b)
     with pytest.raises(ValueError):
-        divisors(0)
+        convolve([1], [1], 0)
 
 
 def test_witt_weight_count_known_values():
@@ -268,8 +290,8 @@ def test_witt_weight_count_validates():
 
 
 def test_witt_weight_count_checks_the_division(monkeypatch):
-    # With mu(d) = 0 for d > 1 the sum at (8, 0) is C(8, 0) = 1, which 8 does not divide.
-    monkeypatch.setattr("lietilt.modarith.mobius", lambda d: int(d == 1))
+    # With every Moebius sign +1 the sum at (8, 0) is C(8, 0) + C(4, 0) = 2, which 8 does not divide.
+    monkeypatch.setattr("lietilt.modarith.mobius_divisors", lambda n: [(d, 1) for d, _ in mobius_divisors(n)])
     with pytest.raises(ConsistencyError, match=r"r=8, i=0"):
         witt_weight_count(8, 0)
 

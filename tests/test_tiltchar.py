@@ -249,7 +249,7 @@ def test_decomposition_helpers():
     dec = Decomposition(basis=Basis.TILTING, entries={2: 1, 0: -1}, r=4, p=2)
     assert dec.coefficient(2) == 1
     assert dec.coefficient(4) == 0
-    assert dec.support == (2, 0)
+    assert tuple(dec.entries) == (2, 0)
     assert not dec.is_nonnegative
     assert dec.dimension == 4 - 1  # dim T(2) - dim T(0) at p = 2
 
