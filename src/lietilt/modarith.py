@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import islice
 from typing import Sequence
 
 # ConsistencyError is defined here, below every other module, and exported
 # once, from charring.
 __all__ = [
-    "convolve",
     "mobius_divisors",
     "poly_power_row",
     "prime_char",
@@ -91,9 +91,11 @@ def convolve(a: Sequence[int], b: Sequence[int], terms: int | None = None) -> li
     ... and B(y) likewise: all len(a) + len(b) - 1 of them, or the first
     `terms` when that is smaller.  Empty lists are refused.
 
-    The outer loop runs over the shorter list; each of its nonzero entries
-    adds a multiple of the longer one, cut at the last wanted term, in one
-    slice assignment.
+    Each nonzero entry of the outer list adds a multiple of the inner one,
+    cut at the last wanted term, in one slice assignment, so the outer list
+    is the one with fewer nonzero entries, and on a tie the shorter one.  A
+    dense row times a row with dilated weights, mostly zeros, then costs one
+    pass over the dense row per nonzero weight of the other.
     """
     if not a or not b:
         raise ValueError("need two nonempty coefficient lists")
@@ -101,6 +103,11 @@ def convolve(a: Sequence[int], b: Sequence[int], terms: int | None = None) -> li
     if terms is not None:
         n = min(n, at_least(terms, 1, "terms"))
     if len(a) > len(b):
+        a, b = b, a
+    # Swap when b has fewer than k nonzero entries: the scan stops at b's
+    # k-th one, so a dense b costs k steps, not a pass.
+    k = len(a) - a.count(0)
+    if k and next(islice(filter(None, b), k - 1, None), None) is None:
         a, b = b, a
     out = [0] * n
     for i, x in enumerate(a[:n]):

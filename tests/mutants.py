@@ -28,6 +28,9 @@ ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = {
     # Every product of characters runs through convolve; each row of it must reach the last wanted term.
     "convolve-truncation": ("modarith.py", "b[: n - i]", "b[: n - i - 1]", "test_charring.py"),
+    # Same product, wrong cost: with the shorter list always outside, a dense row times a twisted Weyl
+    # factor pays one pass over the factor's zeros per entry of the row.
+    "convolve-outer-by-length": ("modarith.py", "if k and next(", "if False and next(", "test_modarith.py"),
     # Witt's necklace sum needs the Moebius signs, not only the squarefree divisors.
     "mobius-sign": ("modarith.py", "(d * q, -mu)", "(d * q, mu)", "test_liechar.py"),
     # Donkin: each factor n of T(b) gives p*n + p - 1 + a and p*n + p - 1 - a.

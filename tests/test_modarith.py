@@ -258,6 +258,52 @@ def test_convolve_validates():
         convolve([1], [1], 0)
 
 
+class _Counted(int):
+    """An int that tallies the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def _counted_convolve(a, b, terms=None):
+    return convolve([_Counted(x) for x in a], [_Counted(y) for y in b], terms)
+
+
+def _nonzeros(xs):
+    return len(xs) - list(xs).count(0)
+
+
+sparse_coeffs = st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_coeffs, sparse_coeffs, st.one_of(st.none(), st.integers(1, 80)))
+@example([1] * 64, [1] + [0] * 127 + [1], 64)  # a dense row times a Weyl factor twisted by 64
+@example([1] + [0] * 127 + [1], [1] * 64, 64)
+def test_convolve_puts_the_sparser_list_outside(a, b, terms):
+    # Each nonzero outer entry costs at most one product per inner entry.
+    _Counted.products = 0
+    assert _counted_convolve(a, b, terms) == polynomial_product(a, b)[:terms]
+    assert _Counted.products <= min(_nonzeros(a), _nonzeros(b)) * max(len(a), len(b))
+
+
+def test_char_simple_of_a_long_digit_row_takes_one_pass_per_twisted_factor(monkeypatch):
+    # char_simple(2**12 - 1, 2) multiplies the product so far by twelve factors (1 + y**(2**i)): each
+    # costs one pass over the product, about 4,096 products in all.  With the dense product outside
+    # it was about 2.8 million.
+    import lietilt.charring
+
+    monkeypatch.setattr(lietilt.charring, "convolve", _counted_convolve)
+    _Counted.products = 0
+    assert char_simple(2**12 - 1, 2).dim == 2**12
+    assert _Counted.products <= 2 * 2**12
+
+
 def test_witt_weight_count_known_values():
     assert witt_weight_count(1, 0) == 1
     assert witt_weight_count(1, 1) == 1

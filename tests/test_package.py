@@ -72,7 +72,7 @@ def test_public_surface_is_pinned():
     assert tuple(lietilt.__all__) == (
         "Basis", "ConsistencyError", "Decomposition", "Evidence", "GZetaProfile", "LieDecompReport", "Partition2",
         "StohrSummand", "SymCharacter", "TheoremARow", "TheoremCClause", "TheoremCRow", "Verdict", "basis_char",
-        "c_sequence", "char_lie_power", "char_simple", "char_tilting", "char_weyl", "convolve", "decompose",
+        "c_sequence", "char_lie_power", "char_simple", "char_tilting", "char_weyl", "decompose",
         "gzeta_profile", "is_p_power", "is_weyl_simple", "l4_weyl2_composition_factors", "lie_power_char",
         "lie_tilting_decomp", "metabelian_summand", "mobius_divisors", "natural_power_char", "poly_power_row",
         "prime_char", "stohr_pairs", "stohr_summand", "stohr_tilting_decomp", "tensor_power_decomp",
