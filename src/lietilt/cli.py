@@ -39,7 +39,7 @@ PROVENANCE = {
 }
 
 # Largest degree any --r, --r-min or --r-max accepts.  Work grows fast with r:
-# decompose-tensor --r 4096 --p 2 alone takes about 3 s (2.6-3.5 s; 2-vCPU Intel Xeon, CPython 3.11.7).
+# decompose-tensor --r 4096 --p 2 alone takes about 1.9 s (1.86-2.08 s; 2-vCPU Intel Xeon, CPython 3.11.7).
 R_MAX = 4096
 
 

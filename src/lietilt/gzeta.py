@@ -18,7 +18,6 @@ from .tiltchar import is_weyl_simple
 
 __all__ = [
     "GZetaProfile",
-    "c_sequence",
     "gzeta_profile",
     "is_p_power",
     "metabelian_summand",
@@ -59,35 +58,6 @@ def _signed_digit_rows(r: int, p: int) -> Iterator[list[int]]:
         yield row + [0] * (p - 1 - nd) if n else row
 
 
-def c_sequence(r: int, p: int) -> tuple[int, ...]:
-    """The sequence c_j = (-1)**j * C(r - 1, j) mod p for j = 0 .. r - 1.
-
-    Requires p | r.  For r a power of p every entry is 1; in general the
-    entries must be computed, not pattern-matched.
-
-    By Lucas's theorem C(n, j) mod p is the product of C(n_i, j_i) over the
-    base-p digits n_i of n = r - 1 and j_i of j, and it vanishes as soon as
-    some j_i exceeds n_i.  The sign splits the same way: (-1)**j is the
-    product of the (-1)**j_i mod p, since p**i is odd for odd p and
-    -1 = 1 mod 2.  So c is the Kronecker product of the signed digit rows
-    (-1)**k * C(n_i, k) mod p for k = 0 .. n_i, taken from the top digit
-    down, with every row but the top one padded with zeros to length p.
-    It is built as one fold from the lowest digit up: once the rows of the
-    digits below i are in, the list has p**i entries, and row i puts its
-    entry k at the block k * p**i.  With the top digit n_m left unpadded,
-    the product has (n_m + 1) * p**m <= 2n entries before it is cut to
-    r = n + 1.
-
-    Only this function builds the sequence; gzeta_profile reads the rows.
-    """
-    p = prime_char(p)
-    r = operator.index(r)
-    seq = [1]
-    for row in _signed_digit_rows(r, p):
-        seq = [a * b % p for b in row for a in seq]
-    return tuple(seq[:r])
-
-
 class GZetaProfile(NamedTuple):
     """Per-weight nonzeroness profile of the near-top submodule.
 
@@ -105,9 +75,11 @@ class GZetaProfile(NamedTuple):
     Whether all c_j are equal is read off the signed digit rows of r - 1,
     without building the sequence, by Lucas's theorem:
 
-    1. c is the Kronecker product of the rows (-1)**k * C(n_i, k) mod p.  The
-       top row is unpadded, the others are padded with zeros to length p,
-       and the product is cut to r entries (see c_sequence).
+    1. C(r - 1, j) = prod C(n_i, j_i) mod p over the base-p digits n_i of
+       r - 1 and j_i of j, and (-1)**j = prod (-1)**j_i mod p (p**i is odd
+       for odd p, and -1 = 1 mod 2).  So c is the Kronecker product of the
+       rows (-1)**k * C(n_i, k) mod p, top digit first, all but the top row
+       padded with zeros to length p, cut to r entries.
     2. Every row starts with 1, so the entry at j = k * p**i is the k-th
        entry of row i, and the product is constant iff each factor is
        constant, that is all ones.
@@ -148,8 +120,7 @@ def gzeta_profile(r: int, p: int) -> GZetaProfile:
     Requires p | r.  The sequence c is constant iff every signed digit row of
     r - 1 is all ones (the argument is in GZetaProfile): the rows are walked
     from the lowest digit up, and the walk stops at the first row that is
-    not.  That costs O(p * log_p r) per degree instead of the r entries of
-    c_sequence, which this function never builds.
+    not.  That costs O(p * log_p r) per degree and never builds c.
     """
     p = prime_char(p)
     r = operator.index(r)

@@ -123,7 +123,9 @@ def stohr_tilting_decomp(x: StohrSummand) -> Decomposition:
     dec = decompose(x.character, Basis.TILTING, x.degree, 2)
     expected = set(weight_set(2 * x.s + x.t))
     if not dec.is_nonnegative or set(dec.entries) != expected:
-        raise ConsistencyError(f"support pattern violated for bidegree ({x.s}, {x.t})")
+        w = max(m for m in expected | set(dec.entries) if m not in expected or dec.coefficient(m) <= 0)
+        raise ConsistencyError(f"support pattern violated for bidegree ({x.s}, {x.t}): "
+                               f"weight {w} has coefficient {dec.coefficient(w)}")
     return dec
 
 
@@ -152,12 +154,13 @@ def lie_tilting_decomp(r: int, p: int) -> LieDecompReport:
     the Lie power is not tilting, while an all-non-negative answer decides
     nothing by itself.
     """
-    p = prime_char(p)
-    r = operator.index(r)
+    p, r = prime_char(p), operator.index(r)
     dec = decompose(char_lie_power(r), Basis.TILTING, r, p)
     if r % p:
         if not dec.is_nonnegative:
-            raise ConsistencyError(f"negative tilting multiplicity at r={r}, p={p} with p not dividing r")
+            w, c = next((w, c) for w, c in dec.entries.items() if c < 0)
+            raise ConsistencyError(f"negative tilting multiplicity at r={r}, p={p} with p not dividing r: "
+                                   f"weight {w} has coefficient {c}")
         verdict = Verdict.TILTING
     elif not dec.is_nonnegative:
         verdict = Verdict.NOT_TILTING_CERTIFIED

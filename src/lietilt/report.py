@@ -90,6 +90,9 @@ class TheoremCClause(str, Enum):
 
 
 class TheoremCRow(NamedTuple):
+    """A theorem_c_report row.  claimed is False exactly on the stated exception
+    lists, and such a row asserts nothing (theorem_c_report gives an example)."""
+
     clause: TheoremCClause
     partition: Partition2
     claimed: bool
@@ -126,13 +129,14 @@ def theorem_c_report(r: int, p: int) -> list[TheoremCRow]:
     """Rows for the odd-characteristic classification at degree r.
 
     The claimed flag marks the two-row partitions asserted to label tilting
-    summands of the Lie power; the stated exception lists depend on the
-    clause.  The near-top row is cross-checked against the coefficient
-    sequence engine, and every row carries the single-subtraction character
-    consistency flag.
+    summands of the Lie power.  It is False exactly on the stated exception
+    lists, which depend on the clause, and the report asserts nothing about
+    those rows: at (10, 5) the row (5, 5) is an exception, yet T(0) has
+    coefficient 4 in lie_tilting_decomp(10, 5).  The near-top row is
+    cross-checked against the coefficient-sequence engine, and every row
+    carries the single-subtraction character consistency flag.
     """
-    p = prime_char(p)
-    r = operator.index(r)
+    p, r = prime_char(p), operator.index(r)
     if p == 2:
         raise ValueError("odd characteristic only")
     clause, pm = _theorem_c_clause(r, p)

@@ -261,13 +261,14 @@ def natural_power_char(r: int) -> SymCharacter:
 def tensor_power_decomp(r: int, p: int) -> Decomposition:
     """Tilting multiplicities of the r-fold tensor power of the natural
     character; strictly positive on every positive weight of r's parity."""
-    p = prime_char(p)
-    r = operator.index(r)
+    p, r = prime_char(p), operator.index(r)
     dec = decompose(natural_power_char(r), Basis.TILTING, r, p)
     # The tensor power is an actual tilting module, so the multiplicities are
     # genuine and every positive weight of matching parity must occur.
     if not dec.is_nonnegative or any(dec.coefficient(m) <= 0 for m in weight_set(r)):
-        raise ConsistencyError(f"tensor power decomposition violated positivity at r={r}, p={p}")
+        w = next(m for m in range(r, -1, -2) if dec.coefficient(m) < (m > 0))  # a positive weight needs 1 or more
+        raise ConsistencyError(f"tensor power decomposition violated positivity at r={r}, p={p}: "
+                               f"weight {w} has coefficient {dec.coefficient(w)}")
     return dec
 
 

@@ -58,6 +58,8 @@ MUTANTS = {
     # The near-top row is certified when the engine agrees with the expectation, also when both say no.
     "theorem-a-certification": ("report.py", "certified = near_top == expected", "certified = near_top",
                                 "test_report.py"),
+    # Clause III excepts the row (p^m, p^m); claiming it contradicts the stated list at (10, 5).
+    "theorem-c-clause-iii-exception": ("report.py", "exceptions.add(Partition2(pm, pm))", "pass", "test_report.py"),
     # Each band of T(m) needs multiplicity k, not only a nonzero one.
     "char-consistent-band": ("report.py", "top // 2 + 1]) >= k for", "top // 2 + 1]) >= 1 for", "test_report.py"),
     # Every positive weight of r's parity must occur in the tensor power, not only stay non-negative.

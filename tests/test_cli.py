@@ -238,39 +238,17 @@ def profiles_built(monkeypatch):
     return built
 
 
-@pytest.fixture
-def sequences_built(monkeypatch):
-    """The degrees whose whole coefficient sequence is built, in order."""
-    built = []
-    c_sequence = lietilt.gzeta.c_sequence
-
-    def counting_c_sequence(r, p):
-        built.append(r)
-        return c_sequence(r, p)
-
-    monkeypatch.setattr(lietilt.gzeta, "c_sequence", counting_c_sequence)
-    return built
-
-
-def test_theorem_b_range_builds_one_profile_per_even_degree(capsys, profiles_built, sequences_built):
+def test_theorem_b_range_builds_one_profile_per_even_degree(capsys, profiles_built):
     assert main(["theorem-b", "--r-min", "2", "--r-max", "12", "--p", "2"]) == 0
     capsys.readouterr()
     assert profiles_built == list(range(2, 13, 2))
-    assert sequences_built == []
 
 
-def test_report_all_builds_no_sequence(capsys, sequences_built):
-    assert main(["report-all", "--r-min", "7", "--r-max", "12"]) == 0
-    capsys.readouterr()
-    assert sequences_built == []
-
-
-def test_theorem_c_builds_one_profile_and_no_sequence(capsys, profiles_built, sequences_built):
+def test_theorem_c_builds_one_profile(capsys, profiles_built):
     # The near-top row of theorem-c asks theorem_b_predicate once, at its own degree.
     assert main(["theorem-c", "--r", "18", "--p", "3"]) == 0
     capsys.readouterr()
     assert profiles_built == [18]
-    assert sequences_built == []
 
 
 def test_theorem_c_payload(capsys):

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import math
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,6 @@ from hypothesis import strategies as st
 from lietilt.cli import R_MAX
 from lietilt.gzeta import (
     GZetaProfile,
-    c_sequence,
     gzeta_profile,
     is_p_power,
     metabelian_summand,
@@ -35,68 +32,6 @@ def test_is_p_power_known():
     assert not is_p_power(6, 3)
 
 
-# -- coefficient sequences ---------------------------------------------
-
-
-def test_c_sequence_requires_divisible_degree():
-    with pytest.raises(ValueError):
-        c_sequence(5, 2)
-    with pytest.raises(ValueError):
-        c_sequence(8, 3)
-
-
-def test_c_sequence_matches_signed_binomials():
-    for p in (2, 3, 5):
-        for r in range(p, 31, p):
-            cs = c_sequence(r, p)
-            assert len(cs) == r
-            for j, c in enumerate(cs):
-                assert c == ((-1) ** j * math.comb(r - 1, j)) % p
-
-
-def test_c_sequence_p_power_rows_are_all_ones():
-    # When r = p^m the binomial row C(r-1, j) is (-1)^j mod p, so every
-    # signed coefficient collapses to 1.
-    for p in (2, 3, 5):
-        m = 1
-        while p**m <= 250:
-            assert set(c_sequence(p**m, p)) == {1}
-            m += 1
-
-
-def test_c_sequence_known_example():
-    assert c_sequence(6, 3) == (1, 1, 1, 2, 2, 2)
-    assert c_sequence(6, 2) == (1, 1, 0, 0, 1, 1)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
-def test_c_sequence_matches_per_entry_oracle(p):
-    for r in range(p, 1201, p):
-        assert c_sequence(r, p) == c_sequence_by_binomials(r, p)
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.data())
-def test_c_sequence_matches_per_entry_oracle_up_to_r_max(data):
-    # 4093 is the largest prime below R_MAX: one digit row, longer than the sequence.
-    # 2039 lies above sqrt(R_MAX): two digit rows, the lower one of length p.
-    p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13, 2039, 4093)))
-    r = p * data.draw(st.integers(1, R_MAX // p))
-    assert c_sequence(r, p) == c_sequence_by_binomials(r, p)
-
-
-def test_c_sequence_memory_is_linear_in_r():
-    # r - 1 = 1 * 2039 + 2038: only the top row is left unpadded, so the product
-    # holds 2 * 2039 entries.  Padding the top row too would build 2039**2.
-    tracemalloc.start()
-    try:
-        c_sequence(4078, 2039)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-
-
 # -- weight-space profiles ---------------------------------------------
 
 
@@ -118,7 +53,7 @@ def test_weight_space_nonzero_validates():
 def test_weight_space_nonzero_matches_subset_sum_oracle():
     for p in (2, 3):
         for r in range(p, 13, p):
-            cs, prof = c_sequence(r, p), gzeta_profile(r, p)
+            cs, prof = c_sequence_by_binomials(r, p), gzeta_profile(r, p)
             for v in range(1, r + 1):
                 assert prof.weight_space_nonzero(v) == subset_sum_nonzero(cs, v, p)
 
@@ -131,7 +66,7 @@ def test_weight_space_nonzero_agrees_with_sampled_subsets_past_exhaustive_range(
     for p in (2, 3, 5):
         powers = [p**m for m in range(2, 10) if 16 < p**m <= 400]
         for r in powers + rng.sample(range(18 * p, 401, p), 6):
-            cs, prof = c_sequence(r, p), gzeta_profile(r, p)
+            cs, prof = c_sequence_by_binomials(r, p), gzeta_profile(r, p)
             for v in rng.sample(range(1, r + 1), 8) + [r - 1, r, p * rng.randint(1, r // p)]:
                 verdict = prof.weight_space_nonzero(v)
                 for _ in range(12):
@@ -156,7 +91,6 @@ def test_gzeta_profile_invariants():
             prof = gzeta_profile(r, p)
             assert isinstance(prof, GZetaProfile)
             assert prof.r == r and prof.p == p
-            assert len(c_sequence(r, p)) == r
             assert prof.dim == sum(prof.weight_space_nonzero(v) for v in range(1, r + 1))
             assert prof.dim <= r - 1
             assert prof.weight_space_nonzero(1)
@@ -237,7 +171,7 @@ def test_profile_dim_p_power_matches_simple_character():
 def test_gzeta_validates():
     with pytest.raises(ValueError):
         gzeta_profile(5, 2)
-    # The profile refuses as c_sequence does, without calling it.
+    # The digit rows refuse the degree before the first one is read.
     for r, p in ((9, 2), (4, 3), (0, 3), (-6, 3)):
         with pytest.raises(ValueError, match=rf"^degree must be a positive multiple of {p}, got {r}$"):
             gzeta_profile(r, p)

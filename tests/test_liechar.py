@@ -212,7 +212,7 @@ def test_stohr_tilting_decomp_pattern():
 
 def test_stohr_tilting_decomp_refuses_a_summand_off_the_support_pattern():
     # T(5) alone in bidegree (2, 1): its tilting support {5} misses the weights 3 and 1.
-    with pytest.raises(ConsistencyError, match=r"bidegree \(2, 1\)"):
+    with pytest.raises(ConsistencyError, match=r"bidegree \(2, 1\): weight 3 has coefficient 0$"):
         stohr_tilting_decomp(StohrSummand(2, 1, 1, char_tilting(5, 2)))
 
 
@@ -253,6 +253,14 @@ def test_lie_tilting_decomp_known():
     rep = lie_tilting_decomp(4, 5)
     assert rep.verdict is Verdict.TILTING
     assert rep.decomposition.entries == {2: 1}
+
+
+def test_lie_tilting_decomp_refuses_a_negative_coefficient_off_p(monkeypatch):
+    # 2 does not divide 5, so T(5) - T(3) - T(1) cannot be the Lie power: the message names the top negative weight.
+    fake = char_tilting(5, 2) - char_tilting(3, 2) - char_tilting(1, 2)
+    monkeypatch.setattr(liechar, "char_lie_power", lambda r: fake)
+    with pytest.raises(ConsistencyError, match=r"at r=5, p=2 with p not dividing r: weight 3 has coefficient -1$"):
+        lie_tilting_decomp(5, 2)
 
 
 def test_lie_tilting_decomp_coprime_degree_always_tilting():

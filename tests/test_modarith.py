@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lietilt.charring import Partition2, SymCharacter, two_row_partitions, weight_set
 from lietilt.gzeta import (
-    c_sequence,
     gzeta_profile,
     is_p_power,
     metabelian_summand,
@@ -100,7 +99,6 @@ TAKES_P = {
     "basis_char": lambda p: basis_char(Basis.DELTA, 3, p),
     "weyl_twist_identity": lambda p: weyl_twist_identity(2, 0, p),
     "gzeta_profile": lambda p: gzeta_profile(6, p),
-    "c_sequence": lambda p: c_sequence(6, p),
     "theorem_b_predicate": lambda p: theorem_b_predicate(6, p),
     "metabelian_summand": lambda p: metabelian_summand(6, p),
     "theorem_c_report": lambda p: theorem_c_report(9, p),
@@ -141,7 +139,6 @@ TAKES_DEGREE = {
     "char_lie_power": char_lie_power,
     "lie_power_char": lambda n: lie_power_char(char_weyl(2), n),
     "is_p_power": lambda n: is_p_power(n, 3),
-    "c_sequence": lambda n: c_sequence(n, 3),
     "gzeta_profile": lambda n: gzeta_profile(n, 3),
     "GZetaProfile.weight_space_nonzero v": lambda n: gzeta_profile(9, 3).weight_space_nonzero(n),
     "theorem_b_predicate": lambda n: theorem_b_predicate(n, 3),

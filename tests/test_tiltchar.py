@@ -359,8 +359,16 @@ def test_tensor_power_decomp_support_pattern():
 def test_tensor_power_decomp_refuses_a_missing_weight(monkeypatch):
     # T(5) alone decomposes as {5: 1}: no negative coefficient, but no summand at weights 3 and 1.
     monkeypatch.setattr("lietilt.tiltchar.natural_power_char", lambda r: char_tilting(r, 2))
-    with pytest.raises(ConsistencyError, match="violated positivity at r=5, p=2"):
+    with pytest.raises(ConsistencyError, match="violated positivity at r=5, p=2: weight 3 has coefficient 0$"):
         tensor_power_decomp(5, 2)
+
+
+def test_tensor_power_decomp_refuses_a_negative_weight_zero(monkeypatch):
+    # Weight 0 may be missing, but not negative.
+    fake = char_tilting(4, 3) + char_tilting(2, 3) - char_tilting(0, 3)
+    monkeypatch.setattr("lietilt.tiltchar.natural_power_char", lambda r: fake)
+    with pytest.raises(ConsistencyError, match="violated positivity at r=4, p=3: weight 0 has coefficient -1$"):
+        tensor_power_decomp(4, 3)
 
 
 def test_tensor_power_decomp_dimension_conservation():
