@@ -13,15 +13,15 @@ Mixing parities in a sum is a hard error rather than a silent union: it
 always indicates that two characters from different degrees were combined by
 mistake.  A product is the product of the two polynomials P, through
 modarith.convolve, cut at the zero weight.  Other modules build characters
-through SymCharacter.from_row and read them through SymCharacter.row or
-SymCharacter.poly.
+through SymCharacter.from_row, combine them by +, * and scale_weights, and
+read them through SymCharacter.row or SymCharacter.poly.  There is no
+subtraction or integer scaling: a - b is a + b * SymCharacter.from_row(0, (-1,)).
 """
 
 from __future__ import annotations
 
 import operator
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .modarith import ConsistencyError, at_least, convolve, prime_char
 
@@ -33,9 +33,9 @@ __all__ = [
     "weight_set",
 ]
 
-# Largest top weight the mapping adapter and scale_weights accept.  Both
-# allocate a row of top // 2 + 1 entries from a small input, so a bound is
-# checked before the row exists; the CLI never builds a top above 4096.
+# Largest top weight scale_weights accepts.  It allocates a row of
+# top // 2 + 1 entries from a small input, so the bound is checked before the
+# row exists; the CLI never builds a top above 4096.
 _TOP_MAX = 2**20
 
 
@@ -45,18 +45,9 @@ class SymCharacter:
 
     __slots__ = ("_top", "_row")
 
-    def __init__(self, multiplicities: Mapping[int, int] = MappingProxyType({})):
-        half: dict[int, int] = {}
-        for w, c in multiplicities.items():
-            w, c = abs(operator.index(w)), operator.index(c)
-            if half.setdefault(w, c) != c:
-                raise ValueError(f"asymmetric multiplicities at weights +-{w}")
-        if len({w & 1 for w, c in half.items() if c}) > 1:
-            raise ValueError("weights of mixed parity in one character")
-        top = max((w for w, c in half.items() if c), default=None)
-        if top is not None:
-            _check_top(top)
-        self._top, self._row = top, () if top is None else tuple(half.get(w, 0) for w in range(top, -1, -2))
+    def __init__(self) -> None:
+        """The zero character."""
+        self._top, self._row = None, ()
 
     @classmethod
     def from_row(cls, top: int, row: Iterable[int]) -> SymCharacter:
@@ -80,14 +71,10 @@ class SymCharacter:
         coefficients of P in x**max_weight * P(x**-2); () for the zero character."""
         return self._row + (self._row[::-1] if self.parity else self._row[-2::-1])
 
-    def multiplicity(self, w: int) -> int:
-        w = operator.index(w)
-        j, odd = divmod(self._top - abs(w), 2) if self._row else (-1, 0)
-        return 0 if odd or j < 0 else self._row[j]
-
     @property
     def support(self) -> tuple[int, ...]:
-        """Non-negative weights with nonzero multiplicity, descending."""
+        """Non-negative weights with nonzero multiplicity, descending; the
+        benchmark's trace counts the terms of a product through it."""
         return tuple(self._top - 2 * j for j, c in enumerate(self._row) if c)
 
     @property
@@ -121,16 +108,6 @@ class SymCharacter:
         lead = len(hi) - len(lo)
         return _trimmed(max(self._top, other._top), hi[:lead] + tuple(map(operator.add, hi[lead:], lo)))
 
-    def __sub__(self, other: "SymCharacter") -> "SymCharacter":
-        if not isinstance(other, SymCharacter):
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "SymCharacter":
-        """Multiply every multiplicity by the integer c."""
-        c = operator.index(c)
-        return _trimmed(self._top, tuple(c * v for v in self._row)) if c else SymCharacter()
-
     def __mul__(self, other: "SymCharacter") -> "SymCharacter":
         if not isinstance(other, SymCharacter):
             return NotImplemented
@@ -144,9 +121,12 @@ class SymCharacter:
         k = at_least(k, 1, "weight scale")
         if not self._row:
             return self
-        out = [0] * (_check_top(k * self._top) // 2 + 1)
+        top = k * self._top
+        if top > _TOP_MAX:
+            raise ValueError(f"top weight must not exceed {_TOP_MAX}, got {top}")
+        out = [0] * (top // 2 + 1)
         out[::k] = self._row
-        return _trimmed(k * self._top, tuple(out))
+        return _trimmed(top, tuple(out))
 
     # -- plumbing --------------------------------------------------------
 
@@ -157,23 +137,13 @@ class SymCharacter:
 
     __hash__ = None  # characters are compared, not hashed
 
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
     def __repr__(self) -> str:
-        inner = ", ".join(f"{w}: {self.multiplicity(w)}" for w in self.support)
-        return f"SymCharacter({{{inner}}})"
-
-
-def _check_top(top: int) -> int:
-    if top > _TOP_MAX:
-        raise ValueError(f"top weight must not exceed {_TOP_MAX}, got {top}")
-    return top
+        return f"SymCharacter.from_row({self._top}, {self._row})" if self._row else "SymCharacter()"
 
 
 def _trimmed(top: int | None, row: tuple[int, ...]) -> SymCharacter:
     """The character (top, row) with the leading zeros of row dropped, built
-    without the mapping adapter."""
+    without from_row's checks."""
     k = next((k for k, c in enumerate(row) if c), None)
     chi = object.__new__(SymCharacter)
     chi._top, chi._row = (None, ()) if k is None else (top - 2 * k, row[k:])

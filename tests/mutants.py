@@ -71,6 +71,10 @@ MUTANTS = {
     "csv-python-bools": ("cli.py", "writerows([_text(record[c]) for c", "writerows([record[c] for c", "test_cli.py"),
     "row-rule-repeats-lambda2": ("cli.py", 'if key not in ("lambda1", "lambda2"))', 'if key != "lambda1")',
                                  "test_cli.py"),
+    # A public method that nothing in the contract calls is dead code.
+    "unused-public-method": ("charring.py", "    __hash__ = None  # characters are compared, not hashed\n",
+                             "    __hash__ = None  # characters are compared, not hashed\n\n"
+                             "    def unused(self) -> int:\n        return 0\n", "test_package.py"),
     # A decomposition iterates its entries by descending weight, however they were given.
     "entries-ascend": ("tiltchar.py", "dict(sorted(pairs, reverse=True))", "dict(sorted(pairs))", "test_records.py"),
     # The payload envelope: the provenance comes after the command's own fields.

@@ -6,10 +6,12 @@ the Moebius function comes from a linear sieve instead of trial division,
 primes come from the sieve of Eratosthenes instead of Miller-Rabin,
 subset sums are tried exhaustively, tilting characters and the bidegree
 summands are built from products of characters instead of read off lists of
-Weyl factors or coefficient rows, powers of polynomials are multiplied out
-instead of run through Miller's recurrence, decompositions eliminate
-weight by weight instead of in Weyl coordinates, the coefficient sequence
-takes one binomial at a time instead of multiplying out digit rows, the
+Weyl factors or coefficient rows, the Weyl factors of a tilting module come
+from signed base-p digits instead of Donkin's recursion, powers of
+polynomials are multiplied out instead of run through Miller's recurrence,
+decompositions eliminate weight by weight instead of in Weyl coordinates,
+the coefficient sequence takes one binomial at a time instead of multiplying
+out digit rows, the
 near-top dimension counts the nonzero divided powers of the bracket
 [y, x, ..., x] applied word by word in the tensor space instead of reading
 two facts off the coefficient sequence,
@@ -61,6 +63,11 @@ class DictCharacter:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._m, reverse=True))
+
+    @property
+    def row(self) -> tuple[int, ...]:
+        top = self.max_weight
+        return () if top is None else tuple(self._m.get(w, 0) for w in range(top, -1, -2))
 
     @property
     def max_weight(self) -> int | None:
@@ -115,8 +122,25 @@ class DictCharacter:
     __hash__ = None
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{w}: {self._m[w]}" for w in self.support)
-        return f"SymCharacter({{{inner}}})"
+        return f"SymCharacter.from_row({self.max_weight}, {self.row})" if self._m else "SymCharacter()"
+
+
+def from_weights(multiplicities: Mapping[int, int]) -> SymCharacter:
+    """The character with the given multiplicities, a weight and its negative
+    given with equal ones, checked by DictCharacter and built by from_row."""
+    ref = DictCharacter(multiplicities)
+    return SymCharacter() if ref.is_zero else SymCharacter.from_row(ref.max_weight, ref.row)
+
+
+def weights(chi: SymCharacter) -> dict[int, int]:
+    """The nonzero multiplicities of chi at its non-negative weights, read off chi.row."""
+    return {chi.max_weight - 2 * j: c for j, c in enumerate(chi.row) if c}
+
+
+def constant(c: int) -> SymCharacter:
+    """c times the trivial character: a product with it multiplies every
+    multiplicity by c, so a - b is a + b * constant(-1)."""
+    return SymCharacter.from_row(0, (c,))
 
 
 def lyndon_words(k: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -189,6 +213,24 @@ def sieve_primes(limit: int) -> list[int]:
     return primes
 
 
+def weyl_factors_by_digits(m: int, p: int) -> tuple[int, ...]:
+    """The Weyl factors of T(m) in characteristic p by a rule on the base-p
+    digits of m + 1, sharing no code with Donkin's recursion: with
+    m + 1 = a_k*p**k + ... + a_0 and a_k >= 1, they are the n with
+    n + 1 = a_k*p**k +- a_(k-1)*p**(k-1) +- ... +- a_0 over every choice of
+    signs on the nonzero lower digits, in descending order."""
+    digits, n = [], m + 1
+    while n:
+        n, a = divmod(n, p)
+        digits.append(a)
+    *lower, top = digits
+    sums = {top * p ** len(lower)}
+    for i, a in enumerate(lower):
+        if a:
+            sums = {s + sign * a * p**i for s in sums for sign in (1, -1)}
+    return tuple(sorted((s - 1 for s in sums), reverse=True))
+
+
 @lru_cache(maxsize=None)
 def char_tilting_by_products(m: int, p: int) -> SymCharacter:
     """Character of the tilting module T(m) in characteristic p by Donkin's
@@ -208,18 +250,18 @@ def char_product_by_weights(a: SymCharacter, b: SymCharacter) -> SymCharacter:
     of both, into a fresh dict over all weights, negative ones included; no
     SymCharacter ring operation is used."""
     def signed(chi: SymCharacter) -> list[tuple[int, int]]:
-        return [(s * w, chi.multiplicity(w)) for w in chi.support for s in ((1, -1) if w else (1,))]
+        return [(s * w, c) for w, c in weights(chi).items() for s in ((1, -1) if w else (1,))]
 
     out: dict[int, int] = {}
     for u, x in signed(a):
         for v, y in signed(b):
             out[u + v] = out.get(u + v, 0) + x * y
-    return SymCharacter(out)
+    return from_weights(out)
 
 
 def power(chi: SymCharacter, k: int) -> SymCharacter:
     """The k-fold product of chi, multiplied left to right from the trivial character."""
-    out = SymCharacter({0: 1})
+    out = constant(1)
     for _ in range(k):
         out = out * chi
     return out
@@ -237,10 +279,10 @@ def lie_power_char_by_products(chi: SymCharacter, r: int) -> SymCharacter:
     mu = sieve_mobius(r)
     acc = SymCharacter()
     for d in divisors_of(r):
-        acc = acc + power(chi.scale_weights(d), r // d).scale(mu[d])
-    if any(acc.multiplicity(w) % r for w in acc.support):
+        acc = acc + power(chi.scale_weights(d), r // d) * constant(mu[d])
+    if any(c % r for c in acc.row):
         raise ValueError(f"necklace sum not divisible by {r}")
-    return SymCharacter({w: acc.multiplicity(w) // r for w in acc.support})
+    return SymCharacter() if acc.is_zero else SymCharacter.from_row(acc.max_weight, [c // r for c in acc.row])
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +301,7 @@ def bryant_schocker_pieces(p: int, r_max: int) -> Mapping[int, SymCharacter]:
         chi = char_lie_power(r)
         q = p
         while r % q == 0:
-            chi = chi - lie_power_char(pieces[r // q], q)
+            chi = chi + lie_power_char(pieces[r // q], q) * constant(-1)
             q *= p
         pieces[r] = chi
     return MappingProxyType(pieces)
@@ -286,15 +328,14 @@ def decompose_by_weight(chi: SymCharacter, member: Callable[[int], SymCharacter]
     """Signed coefficients of chi in the basis whose character at highest
     weight w is member(w), by subtracting whole characters from the top
     weight r down."""
-    residual = {w: chi.multiplicity(w) for w in chi.support}
+    residual = weights(chi)
     entries = {}
     for w in range(r, -1, -2):
         c = residual.get(w)
         if c:
             entries[w] = c
-            basis_char = member(w)
-            for u in basis_char.support:
-                residual[u] = residual.get(u, 0) - c * basis_char.multiplicity(u)
+            for u, b in weights(member(w)).items():
+                residual[u] = residual.get(u, 0) - c * b
     return entries
 
 
@@ -381,5 +422,5 @@ def near_top_dim_in_tensor_space(r: int, p: int) -> int:
 def char_consistent_by_weights(chi: SymCharacter, m: int, p: int) -> bool:
     """Whether chi keeps non-negative multiplicities after one subtraction of
     the character of T(m), built by products, compared weight by weight."""
-    tm = char_tilting_by_products(m, p)
-    return all(chi.multiplicity(w) >= tm.multiplicity(w) for w in tm.support)
+    have = weights(chi)
+    return all(have.get(w, 0) >= c for w, c in weights(char_tilting_by_products(m, p)).items())

@@ -18,6 +18,7 @@ from lietilt.tiltchar import Basis, decompose
 
 from oracles import bryant_schocker_pieces, c_sequence_by_binomials
 from test_gzeta import near_top_dims_off_the_oracle
+from test_report import deep_rows_absent_from_bryant_schocker_piece
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19])
@@ -41,3 +42,7 @@ def test_profile_matches_per_entry_oracle_at_every_degree(p):
 def test_lie_power_remainder_is_tilting_to_degree_600(p):
     pieces = bryant_schocker_pieces(p, 600)
     assert [r for r in range(p, 601, p) if not decompose(pieces[r], Basis.TILTING, r, p).is_nonnegative] == []
+
+
+def test_theorem_a_deep_rows_are_present_in_the_bryant_schocker_piece_to_degree_600():
+    assert deep_rows_absent_from_bryant_schocker_piece(600) == []

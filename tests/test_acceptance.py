@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 from conftest import record_acceptance
 
-from lietilt.charring import Partition2, SymCharacter, two_row_partitions
+from lietilt.charring import Partition2, two_row_partitions
 from lietilt.gzeta import gzeta_profile, is_p_power, metabelian_summand
 from lietilt.liechar import (
     Verdict,

@@ -157,13 +157,9 @@ TAKES_DEGREE = {
     "witt_weight_count i": lambda n: witt_weight_count(11, n),
     "poly_power_row n": lambda n: poly_power_row([((1, 1), 2), ((1, 1, 1), n)]),
     "poly_power_row terms": lambda n: poly_power_row([((1, 1), 9)], n),
-    "SymCharacter weight": lambda n: SymCharacter({n: 1}),
-    "SymCharacter multiplicity": lambda n: SymCharacter({1: n}),
     "SymCharacter.from_row top": lambda n: SymCharacter.from_row(n, (1,) * 5),
     "SymCharacter.from_row entry": lambda n: SymCharacter.from_row(2, (1, n)),
-    "SymCharacter.scale": lambda n: char_weyl(2).scale(n),
     "SymCharacter.scale_weights": lambda n: char_weyl(2).scale_weights(n),
-    "SymCharacter.multiplicity": lambda n: char_weyl(2).multiplicity(n),
     "Decomposition": lambda n: Decomposition(Basis.TILTING, {1: 1}, n, 2),
 }
 

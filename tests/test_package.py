@@ -1,45 +1,110 @@
-"""Rules for the source tree as a whole: what src/lietilt may import, and
-which module may read the character layout."""
+"""Rules for the source tree as a whole: what src/lietilt may import, which
+module may read the character layout, and that the contract runs every
+function the package defines."""
 
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
-from types import FunctionType
 
-from test_cli import LAYOUT_SHA256
+import lietilt
+from test_cli import GOLDEN_SHA256, LAYOUT_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
-PACKAGE = SRC / "lietilt"
+# The package under test, which need not be the one beside this file: tests/mutants.py runs this
+# file against a changed copy of src/.
+PACKAGE = Path(lietilt.__file__).resolve().parent
+SRC = PACKAGE.parent
 
-# Every subcommand in every format its parser offers, the runs whose stdout test_cli pins.
-STDLIB_RUNS = list(LAYOUT_SHA256)
+# What the package promises and so must keep working: every run whose stdout test_cli pins (every
+# subcommand in every format its parser offers, and the golden large runs), the acceptance tests
+# (which import only the standard library besides lietilt) and the README's library doctest.
+CONTRACT_RUNS = list(GOLDEN_SHA256) + list(LAYOUT_SHA256)
 
-STDLIB_CHILD = """
-import contextlib, io, json, sys
-sys.path.insert(0, sys.argv[1])
+# One child runs the contract under sys.setprofile, started before lietilt is first imported, so
+# that no memo is warm, and records every code object it enters.  It prints the exit code of each
+# run and the functions, methods, property getters and class or static methods defined in
+# src/lietilt, cached ones unwrapped, that no part of the contract entered.
+CONTRACT_CHILD = """
+import contextlib, doctest, importlib, inspect, io, json, pkgutil, sys
+src, tests, readme, runs = sys.argv[1:]
+sys.path[:0] = [src, tests]
+entered = set()
+def record(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+sys.setprofile(record)
 from lietilt.cli import main
 codes = {}
-for argv in json.loads(sys.argv[2]):
+for argv in json.loads(runs):
     with contextlib.redirect_stdout(io.StringIO()):
         codes[argv] = main(argv.split())
-print(json.dumps(codes))
+import test_acceptance
+for name, test in vars(test_acceptance).items():
+    if name.startswith("test_"):
+        test()
+with contextlib.redirect_stdout(io.StringIO()):
+    doctest_failed = doctest.testfile(readme, module_relative=False).failed
+sys.setprofile(None)
+
+import lietilt
+defined = {}
+def collect(owner, module):
+    for value in vars(owner).values():
+        if isinstance(value, type) and value.__module__ == module:
+            collect(value, module)
+            continue
+        value = value.__func__ if isinstance(value, (classmethod, staticmethod)) else value
+        fn = inspect.unwrap(value.fget if isinstance(value, property) else value)
+        code = getattr(fn, "__code__", None)
+        if code is not None and code.co_filename.startswith(lietilt.__path__[0]):
+            defined[code] = fn.__module__.rpartition(".")[2] + "." + fn.__qualname__
+for info in pkgutil.iter_modules(lietilt.__path__):
+    if info.name != "__main__":
+        module = importlib.import_module("lietilt." + info.name)
+        collect(module, module.__name__)
+unentered = sorted(name for code, name in defined.items() if code not in entered)
+print(json.dumps({"codes": codes, "doctest_failed": doctest_failed, "unentered": unentered}))
 """
+
+# Library code that no command, report or acceptance criterion runs is deleted with its tests.  These
+# are the exceptions, each with the reason it stays.
+ALLOWED_UNENTERED = {
+    "charring.SymCharacter.__init__": "the zero character, built only from a zero factor, which no command produces",
+    "charring.SymCharacter.support": "perfbench/tracer.py counts the terms of each traced product through it",
+    "charring.Partition2._make": "the README promises that _replace validates, and test_records.py pins it",
+    "tiltchar.Decomposition._make": "the README promises that _replace validates, and test_records.py pins it",
+    "cli._write_failed": "entered only on a failed write, which test_exit_code_table pins in a child process",
+    "cli._Parser.print_help": "entered only on a failed write, which test_exit_code_table pins in a child process",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _traced_contract() -> dict:
+    # -I -S leave out site-packages and the environment, and only src and tests are put on sys.path,
+    # so a non-stdlib import anywhere in the package, also one made only while rendering csv or pretty
+    # output, fails here.
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", CONTRACT_CHILD, str(SRC), str(ROOT / "tests"),
+                           str(ROOT / "README.md"), json.dumps(CONTRACT_RUNS)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_every_subcommand_and_renderer_runs_on_the_standard_library_alone():
-    # -I -S leave out site-packages and the environment, and only src is put on
-    # sys.path, so a non-stdlib import anywhere in the package, also one made
-    # only while rendering csv or pretty output, fails here.
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", STDLIB_CHILD, str(SRC), json.dumps(STDLIB_RUNS)],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == dict.fromkeys(STDLIB_RUNS, 0), proc.stderr
+    traced = _traced_contract()
+    assert traced["codes"] == dict.fromkeys(CONTRACT_RUNS, 0)
+    assert traced["doctest_failed"] == 0
+
+
+def test_every_package_function_is_entered_by_the_contract():
+    # An entry that the contract now enters, or a function that no longer exists, fails as well.
+    assert _traced_contract()["unentered"] == sorted(ALLOWED_UNENTERED)
 
 
 def test_only_charring_reads_the_character_layout():
@@ -80,33 +145,3 @@ def test_public_surface_is_pinned():
         "tilting_bands", "tilting_weyl_factors", "two_row_partitions", "weight_set", "weyl_twist_identity",
         "witt_weight_count",
     )
-
-
-def _names_read(paths: list[Path]) -> set[str]:
-    """Every identifier that some expression in the given files reads: a bare name or an attribute."""
-    read = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return read
-
-
-def test_every_public_name_has_a_reader():
-    # Library code that no command, report or acceptance criterion reads is deleted with its tests, so
-    # every public name, and every public method or property of a record class, must be read by some
-    # package module or by the acceptance tests.  A definition, an import or an __all__ entry is not a read.
-    # Blind spot: an attribute counts by its name alone, so names shared across classes (.degree, .r,
-    # .character) cannot be told apart, and record fields were audited by hand, not here.
-    import lietilt
-
-    read = _names_read(sorted(PACKAGE.glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"])
-    records = [obj for obj in map(vars(lietilt).get, lietilt.__all__)
-               if isinstance(obj, type) and issubclass(obj, tuple)]
-    methods = {f"{cls.__name__}.{name}": name for cls in records for name, value in vars(cls).items()
-               if not name.startswith("_") and isinstance(value, (property, classmethod, staticmethod, FunctionType))}
-    unread = [name for name in lietilt.__all__ if name not in read]
-    unread += [qualified for qualified, name in methods.items() if name not in read]
-    assert unread == []

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lietilt.charring import Partition2, SymCharacter
 from lietilt.cli import payload_theorem_37
+from lietilt.gzeta import is_p_power
 from lietilt.liechar import Verdict, char_lie_power
 from lietilt.report import (
     Evidence,
@@ -16,7 +17,7 @@ from lietilt.report import (
 )
 from lietilt.tiltchar import Basis, char_weyl, decompose
 
-from oracles import bryant_schocker_pieces, char_consistent_by_weights, char_tilting_by_products
+from oracles import bryant_schocker_pieces, char_consistent_by_weights, weights
 
 
 # -- characteristic-2 inclusion table -----------------------------------
@@ -68,6 +69,26 @@ def test_theorem_a_report_certified_sweep():
         if r & (r - 1):
             want.add(Partition2(r - 1, 1))
         assert expected_true == want
+
+
+def deep_rows_absent_from_bryant_schocker_piece(r_max: int) -> list[tuple[int, Partition2]]:
+    """The rows with lambda2 >= 2 of theorem_a_report(r), for every r in 7 .. r_max that is not a power
+    of 2, whose T(r - 2 * lambda2) has no positive coefficient in the tilting piece B_r of L^r."""
+    pieces = bryant_schocker_pieces(2, r_max)
+    absent = []
+    for r in range(7, r_max + 1):
+        if is_p_power(r, 2):
+            continue  # B_r = 0 there: the Stohr witness is the only evidence
+        dec = decompose(pieces[r], Basis.TILTING, r, 2)
+        absent += [(r, row.partition) for row in theorem_a_report(r)
+                   if row.partition.lambda2 >= 2 and dec.coefficient(row.partition.weight) <= 0]
+    return absent
+
+
+def test_theorem_a_deep_rows_are_present_in_the_bryant_schocker_piece():
+    # A second certificate for the rows that one Stohr witness certifies: a positive coefficient of
+    # T(m) in the tilting summand B_r puts T(m) in L^r.
+    assert deep_rows_absent_from_bryant_schocker_piece(200) == []
 
 
 def test_theorem_a_report_validates():
@@ -138,11 +159,6 @@ def test_theorem_c_report_exception_shapes():
         assert all(row.clause is clauses[(r, p)] for row in rows)
 
 
-def _consistent_by_products(chi, m, p):
-    tilt = char_tilting_by_products(m, p)
-    return all(chi.multiplicity(w) >= tilt.multiplicity(w) for w in tilt.support)
-
-
 # Every degree r <= 400 of the form p**m or 2 * p**m that theorem_c_report accepts.
 THEOREM_C_DEGREES = [(r, p) for p in (3, 5, 7) for k in range(1, 6) for r in (p**k, 2 * p**k)
                      if p < r <= 400 and (r, p) != (6, 3)]
@@ -152,7 +168,7 @@ THEOREM_C_DEGREES = [(r, p) for p in (3, 5, 7) for k in range(1, 6) for r in (p*
 def test_theorem_c_char_consistent_matches_product_oracle(r, p):
     chi = char_lie_power(r)
     for row in theorem_c_report(r, p):
-        assert row.char_consistent == _consistent_by_products(chi, row.partition.weight, p)
+        assert row.char_consistent == char_consistent_by_weights(chi, row.partition.weight, p)
 
 
 # The exceptions of theorem_c_report at r = 2 * p**m whose T(lambda1 - lambda2) has a positive
@@ -193,8 +209,8 @@ def test_char_consistent_matches_product_oracle_on_sums_of_weyl_characters(data)
     chi = SymCharacter()
     for k in tops:
         chi = chi + char_weyl(k)
-    mults = [chi.multiplicity(w) for w in range(r % 2, r + 1, 2)]
-    assert _char_consistent(mults, m, p) == _consistent_by_products(chi, m, p)
+    mults = [weights(chi).get(w, 0) for w in range(r % 2, r + 1, 2)]
+    assert _char_consistent(mults, m, p) == char_consistent_by_weights(chi, m, p)
 
 
 @settings(deadline=None, max_examples=300)
@@ -205,7 +221,7 @@ def test_char_consistent_bands_match_per_weight_oracle_on_random_rows(data):
     r = data.draw(st.integers(0, 300))
     m = data.draw(st.sampled_from(range(r % 2, r + 1, 2)))
     mults = data.draw(st.lists(st.integers(0, 5), min_size=r // 2 + 1, max_size=r // 2 + 1))
-    chi = SymCharacter({w: mults[w // 2] for w in range(r % 2, r + 1, 2)})
+    chi = SymCharacter.from_row(r, mults[::-1])
     assert _char_consistent(mults, m, p) == char_consistent_by_weights(chi, m, p)
 
 

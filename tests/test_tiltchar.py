@@ -25,17 +25,19 @@ from lietilt.tiltchar import (
     weyl_twist_identity,
 )
 
-from oracles import char_tilting_by_products, decompose_by_weight
+from oracles import char_tilting_by_products, constant, decompose_by_weight, from_weights, weyl_factors_by_digits
+
+from_row = SymCharacter.from_row
 
 
 # -- Weyl characters ----------------------------------------------------
 
 
 def test_char_weyl_known():
-    assert char_weyl(0) == SymCharacter({0: 1})
-    assert char_weyl(1) == SymCharacter({1: 1})
-    assert char_weyl(3) == SymCharacter({3: 1, 1: 1})
-    assert char_weyl(4) == SymCharacter({4: 1, 2: 1, 0: 1})
+    assert char_weyl(0) == from_row(0, (1,))
+    assert char_weyl(1) == from_row(1, (1,))
+    assert char_weyl(3) == from_row(3, (1, 1))
+    assert char_weyl(4) == from_row(4, (1, 1, 1))
 
 
 def test_char_weyl_dim_and_shape():
@@ -43,7 +45,7 @@ def test_char_weyl_dim_and_shape():
         chi = char_weyl(m)
         assert chi.dim == m + 1
         assert chi.max_weight == m
-        assert all(chi.multiplicity(w) == 1 for w in chi.support)
+        assert chi.row == (1,) * (m // 2 + 1)
     with pytest.raises(ValueError):
         char_weyl(-1)
 
@@ -52,10 +54,10 @@ def test_char_weyl_dim_and_shape():
 
 
 def test_char_simple_known():
-    assert char_simple(6, 2) == SymCharacter({6: 1, 2: 1})
-    assert char_simple(0, 2) == SymCharacter({0: 1})
-    assert char_simple(1, 2) == SymCharacter({1: 1})
-    assert char_simple(5, 3) == SymCharacter({5: 1, 3: 1, 1: 1})
+    assert char_simple(6, 2) == from_row(6, (1, 0, 1, 0))
+    assert char_simple(0, 2) == from_row(0, (1,))
+    assert char_simple(1, 2) == from_row(1, (1,))
+    assert char_simple(5, 3) == from_row(5, (1, 1, 1))
 
 
 def test_char_simple_dim_is_digit_product():
@@ -113,15 +115,15 @@ def test_is_weyl_simple_matches_characters():
 
 
 def test_char_tilting_small_known():
-    assert char_tilting(0, 2) == SymCharacter({0: 1})
-    assert char_tilting(1, 2) == SymCharacter({1: 1})
-    assert char_tilting(2, 2) == SymCharacter({2: 1, 0: 2})
-    assert char_tilting(3, 2) == SymCharacter({3: 1, 1: 1})
-    assert char_tilting(4, 2) == SymCharacter({4: 1, 2: 2, 0: 2})
-    assert char_tilting(6, 2) == SymCharacter({6: 1, 4: 2, 2: 3, 0: 4})
-    assert char_tilting(2, 3) == SymCharacter({2: 1, 0: 1})
-    assert char_tilting(3, 3) == SymCharacter({3: 1, 1: 2})
-    assert char_tilting(4, 3) == SymCharacter({4: 1, 2: 1, 0: 2})
+    assert char_tilting(0, 2) == from_row(0, (1,))
+    assert char_tilting(1, 2) == from_row(1, (1,))
+    assert char_tilting(2, 2) == from_row(2, (1, 2))
+    assert char_tilting(3, 2) == from_row(3, (1, 1))
+    assert char_tilting(4, 2) == from_row(4, (1, 2, 2))
+    assert char_tilting(6, 2) == from_row(6, (1, 2, 3, 4))
+    assert char_tilting(2, 3) == from_row(2, (1, 1))
+    assert char_tilting(3, 3) == from_row(3, (1, 2))
+    assert char_tilting(4, 3) == from_row(4, (1, 1, 2))
 
 
 def test_char_tilting_monic_and_dim_bound():
@@ -129,7 +131,7 @@ def test_char_tilting_monic_and_dim_bound():
         for m in range(0, 201):
             chi = char_tilting(m, p)
             assert chi.max_weight == m
-            assert chi.multiplicity(m) == 1
+            assert chi.row[0] == 1
             assert chi.dim >= m + 1
             # T(m) collapses to the Weyl character exactly when that
             # Weyl module is already simple.
@@ -148,6 +150,12 @@ def test_char_tilting_first_band_sum():
             assert char_tilting(m, p) == char_weyl(m) + char_weyl(2 * p - 2 - m)
 
 
+def test_tilting_weyl_factors_match_the_digit_rule():
+    # Donkin's tensor product theorem, checked against the signed digits of m + 1 instead of its recursion.
+    for p in (2, 3, 5, 7, 11):
+        assert [m for m in range(1000) if tilting_weyl_factors(m, p) != weyl_factors_by_digits(m, p)] == []
+
+
 def test_char_tilting_matches_weyl_factor_oracle():
     # The factors descend strictly: T(m) has a multiplicity-free Weyl filtration.
     for p in (2, 3, 5, 7, 11):
@@ -155,7 +163,7 @@ def test_char_tilting_matches_weyl_factor_oracle():
             factors = tilting_weyl_factors(m, p)
             assert factors[0] == m and list(factors) == sorted(set(factors), reverse=True), (m, p)
             weights = Counter(w for k in factors for w in range(k, -1, -2))
-            assert char_tilting(m, p) == SymCharacter(weights), (m, p)
+            assert char_tilting(m, p) == from_weights(weights), (m, p)
 
 
 def test_tilting_weyl_factors_table_is_immutable():
@@ -184,7 +192,7 @@ def test_basis_char_dispatch():
 
 
 def test_basis_given_by_name():
-    chi = SymCharacter({4: 1})
+    chi = from_row(4, (1, 0, 0))
     for basis in Basis:
         assert basis_char(basis.value, 6, 2) == basis_char(basis, 6, 2)
         dec = decompose(chi, basis.value, 4, 2)
@@ -218,7 +226,7 @@ def test_decompose_round_trip_random():
                 coeffs = {w: rng.randrange(-3, 4) for w in rng.sample(weights, min(4, len(weights)))}
                 chi = SymCharacter()
                 for w, c in coeffs.items():
-                    chi = chi + basis_char(basis, w, p).scale(c)
+                    chi = chi + basis_char(basis, w, p) * constant(c)
                 dec = decompose(chi, basis, r=r, p=p)
                 assert dec.entries == {w: c for w, c in coeffs.items() if c}
 
@@ -238,11 +246,11 @@ def test_decompose_zero_character():
 
 def test_decompose_validates():
     with pytest.raises(ValueError):
-        decompose(SymCharacter({1: 1}), Basis.TILTING, r=2, p=2)  # parity clash
+        decompose(from_row(1, (1,)), Basis.TILTING, r=2, p=2)  # parity clash
     with pytest.raises(ValueError):
-        decompose(SymCharacter({6: 1}), Basis.TILTING, r=4, p=2)  # weight too big
+        decompose(from_row(6, (1, 0, 0, 0)), Basis.TILTING, r=4, p=2)  # weight too big
     with pytest.raises(ValueError):
-        decompose(SymCharacter({2: 1}), Basis.TILTING, r=0, p=2)
+        decompose(from_row(2, (1, 0)), Basis.TILTING, r=0, p=2)
 
 
 def test_decomposition_helpers():
@@ -315,7 +323,7 @@ def test_lie_decompose_matches_weight_elimination(r, p, basis):
 def test_signed_decompose_matches_weight_elimination(data, r, p, basis):
     # Random virtual characters: any sparse signed support inside [-r, r], zero included.
     mults = data.draw(st.dictionaries(st.integers(0, r // 2), st.integers(-9, 9), max_size=12))
-    chi = SymCharacter({r - 2 * j: c for j, c in mults.items()})
+    chi = from_row(r, [mults.get(j, 0) for j in range(r // 2 + 1)])
     assert decompose(chi, basis, r, p).entries == decompose_by_weight(chi, _oracle_member(basis, p), r)
 
 
@@ -326,8 +334,7 @@ def test_natural_power_char_is_binomial():
     for r in range(1, 401):
         chi = natural_power_char(r)
         assert chi.dim == 2**r
-        for i in range(0, r + 1):
-            assert chi.multiplicity(r - 2 * i) == math.comb(r, i)
+        assert chi.poly == tuple(math.comb(r, i) for i in range(r + 1))
 
 
 def test_tensor_power_decomp_known():
@@ -365,7 +372,7 @@ def test_tensor_power_decomp_refuses_a_missing_weight(monkeypatch):
 
 def test_tensor_power_decomp_refuses_a_negative_weight_zero(monkeypatch):
     # Weight 0 may be missing, but not negative.
-    fake = char_tilting(4, 3) + char_tilting(2, 3) - char_tilting(0, 3)
+    fake = char_tilting(4, 3) + char_tilting(2, 3) + char_tilting(0, 3) * constant(-1)
     monkeypatch.setattr("lietilt.tiltchar.natural_power_char", lambda r: fake)
     with pytest.raises(ConsistencyError, match="violated positivity at r=4, p=3: weight 0 has coefficient -1$"):
         tensor_power_decomp(4, 3)
@@ -408,7 +415,7 @@ def test_tilting_product_nonnegative():
                 dec = decompose(prod, Basis.TILTING, r=n + m if n + m else 2, p=p)
                 assert dec.is_nonnegative
                 assert dec.coefficient(n + m) == 1
-                assert sum((char_tilting(w, p).scale(c) for w, c in dec.entries.items()), SymCharacter()) == prod
+                assert sum((char_tilting(w, p) * constant(c) for w, c in dec.entries.items()), SymCharacter()) == prod
 
 
 def test_weyl_twist_identity_sweep():
