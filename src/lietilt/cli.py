@@ -3,7 +3,8 @@
 Subcommands cover single decompositions (decompose-tensor, decompose-lie,
 stohr, gzeta), the classification sweeps (theorem-a, theorem-b, theorem-c,
 theorem-37), and a batch driver (report-all).  Output is JSON by default,
-with csv and pretty as alternatives.
+with csv and pretty as alternatives, both rendered from the JSON payload by
+one rule: its scalar fields first, then each nested field.
 
 Exit codes: 0 on success, 1 on a verification failure (a computed result
 contradicting a structural guarantee), 2 on a usage, domain or I/O error.
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, p_mode, degrees, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(command_parser=sp)
-        # A report-all degree has no single csv row shape, so it renders json and pretty only.
+        # A report-all degree nests two weight maps, which one csv record per weight cannot tell apart.
         formats = ("json", "pretty") if name == "report-all" else ("json", "csv", "pretty")
         sp.add_argument("--format", choices=formats, default="json")
         sp.add_argument("--out", default=None, help="write output to a file instead of stdout")
@@ -228,90 +229,50 @@ def _dispatch(args: argparse.Namespace) -> tuple[list[dict], bool]:
     return [payload(r, p) for r in degrees], single
 
 
-# kind -> csv header, each column a field of every record _records gives.  report-all
-# has no single row shape, so its parser offers no csv.
-CSV_COLUMNS = {
-    "tensor-power": ("weight", "multiplicity"),
-    "lie-power": ("weight", "multiplicity"),
-    "stohr": ("s", "t", "mult", "weight", "multiplicity"),
-    "gzeta": ("r", "p", "dim", "is_p_power"),
-    "theorem-a": ("lambda1", "lambda2", "expected", "evidence", "certified"),
-    "theorem-b": ("r", "p", "holds", "gzeta_dim"),
-    "theorem-c": ("lambda1", "lambda2", "clause", "claimed", "char_consistent"),
-    "theorem-37": ("r", "weight", "multiplicity"),  # a range shares one header, so each row names its degree
-}
+def _split(fields: dict) -> tuple[dict, list]:
+    """The scalar fields of a payload or of a nested record, provenance aside, and its nested (key, value) fields."""
+    head = {key: value for key, value in fields.items() if not isinstance(value, (dict, list)) and key != "provenance"}
+    return head, [(key, value) for key, value in fields.items() if isinstance(value, (dict, list))]
 
 
-def _text(value):
-    """A field as csv and pretty print it: a bool as true/false.  csv writes None as an empty cell."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return value
+def _text(value) -> str:
+    """A scalar as csv and pretty print it: a string as itself, anything else as JSON spells it."""
+    return value if isinstance(value, str) else json.dumps(value)
 
 
-def _records(payload: dict) -> list[dict]:
-    """The flat records of a payload: its rows, one per weight of its entries
-    (or of each Stohr summand's, with that summand's fields), or itself."""
-    if "rows" in payload:
-        return payload["rows"]
-    if "entries" not in payload and "summands" not in payload:
-        return [payload]
-    return [{**group, "weight": m, "multiplicity": c}
-            for group in payload.get("summands", [payload]) for m, c in group["entries"].items()]
+def _records(fields: dict) -> list[dict]:
+    """The csv records of a payload: its scalar fields, followed by one record per weight of a
+    weight map and by the records of each item of a list; with neither, the scalar fields alone."""
+    head, nested = _split(fields)
+    records = []
+    for _, value in nested:
+        if isinstance(value, dict):
+            records += [{**head, "weight": m, "multiplicity": c} for m, c in value.items()]
+        else:
+            records += [{**head, **record} for item in value for record in _records(item)]
+    return records or [head]
 
 
 def render_csv(payloads: list[dict]) -> str:
-    columns = CSV_COLUMNS[payloads[0]["kind"]]
+    records = [record for payload in payloads for record in _records(payload)]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_text(record[c]) for c in columns] for item in payloads for record in _records(item))
+    writer = csv.DictWriter(buf, list(dict.fromkeys(key for record in records for key in record)), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({key: _text(value) for key, value in record.items()} for record in records)
     return buf.getvalue()
 
 
-def _entries_text(entries: dict) -> str:
-    return ", ".join(f"{m}:{c}" for m, c in entries.items())
-
-
-def _pretty_block(payload: dict) -> list[str]:
-    kind = payload["kind"]
-    if kind in ("tensor-power", "lie-power", "theorem-37"):
-        head = f"r={payload['r']} p={payload['p']} {kind} ({payload['basis']} basis)"
-        if "verdict" in payload:
-            head += f" verdict={payload['verdict']}"
-        lines = [head]
-        lines += [f"  {m:>4}  {c}" for m, c in payload["entries"].items()]
-        return lines
-    if "rows" in payload:  # theorem-a and theorem-c: each row prints its partition, then its other fields
-        title = "summand" if kind == "theorem-a" else "odd-characteristic"
-        lines = [f"r={payload['r']} p={payload['p']} {title} classification"]
-        for row in payload["rows"]:
-            fields = " ".join(f"{key}={_text(value)}" for key, value in row.items()
-                              if key not in ("lambda1", "lambda2"))
-            lines.append(f"  ({row['lambda1']},{row['lambda2']}) {fields}")
-        return lines
-    if kind == "stohr":
-        lines = [f"r={payload['r']} p=2 bidegree summands"]
-        for x in payload["summands"]:
-            lines.append(f"  (s={x['s']}, t={x['t']}) mult={x['mult']}  {_entries_text(x['entries'])}")
-        if not payload["summands"]:
-            lines.append("  (none)")
-        return lines
-    if kind == "gzeta":
-        return [f"r={payload['r']} p={payload['p']} gzeta dim={payload['dim']} p-power={_text(payload['is_p_power'])}"]
-    if kind == "theorem-b":
-        dim = payload["gzeta_dim"]
-        tail = "" if dim is None else f" gzeta_dim={dim}"
-        return [f"r={payload['r']} p={payload['p']} near-top summand holds={_text(payload['holds'])}{tail}"]
-    # report-all
-    lines = [f"r={payload['r']} p={payload['p']} report", "  tensor: " + _entries_text(payload["tensor"])]
-    lie = payload["lie"]
-    lines.append(f"  lie:    {_entries_text(lie['entries'])}  verdict={lie['verdict']}")
-    if payload["gzeta"] is not None:
-        lines.append(f"  gzeta:  dim={payload['gzeta']['dim']} p-power={_text(payload['gzeta']['is_p_power'])}")
-    if payload["theorem_37_verdict"] is not None:
-        lines.append(f"  theorem-a certified={_text(payload['theorem_a_certified'])} "
-                     f"theorem-37 verdict={payload['theorem_37_verdict']}")
+def _pretty(fields: dict, indent: str = "", label: str = "") -> list[str]:
+    """The scalar fields on one line, then each nested field indented below it: a weight map or a
+    record as its own block, a list as its key and then one block per item."""
+    head, nested = _split(fields)
+    words = [f"{label}:"] if label else []
+    lines = [indent + " ".join(words + [f"{key}={_text(value)}" for key, value in head.items()])]
+    for key, value in nested:
+        if isinstance(value, dict):
+            lines += _pretty(value, indent + "  ", key)
+        else:
+            lines += [f"{indent}  {key}:"] + [line for item in value for line in _pretty(item, indent + "    ")]
     return lines
 
 
@@ -321,7 +282,7 @@ def render(payloads: list[dict], single: bool, fmt: str) -> str:
         return json.dumps(payloads[0] if single else payloads, separators=(",", ":")) + "\n"
     if fmt == "csv":
         return render_csv(payloads)
-    return "\n".join(line for payload in payloads for line in _pretty_block(payload)) + "\n"
+    return "\n".join(line for payload in payloads for line in _pretty(payload)) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -36,6 +36,10 @@ MUTANTS = {
     # Donkin: each factor n of T(b) gives p*n + p - 1 + a and p*n + p - 1 - a.
     "donkin-shift-sign": ("tiltchar.py", "shifts = (a, -a) if a else (0,)", "shifts = (a, a) if a else (0,)",
                           "test_tiltchar.py"),
+    # A slip that bites only at a digit a >= 10, so only at p >= 11.  The hand values and the product oracle
+    # stop at p = 7; only test_tilting_weyl_factors_match_the_digit_rule sees T(m) lose p*n + p - 1 - a.
+    "donkin-shift-large-digit": ("tiltchar.py", "shifts = (a, -a) if a else (0,)",
+                                 "shifts = (a, -a) if 0 < a < 10 else (a,)", "test_tiltchar.py"),
     "miller-recurrence": ("modarith.py", "acc += (fixed - k * c) * row[k - i]", "acc += (fixed + k * c) * row[k - i]",
                           "test_modarith.py"),
     # Without E*P the first factor's row stays right; a product of two powers, as in a Stohr row, goes wrong.
@@ -65,12 +69,18 @@ MUTANTS = {
     # Every positive weight of r's parity must occur in the tensor power, not only stay non-negative.
     "tensor-positivity": ("tiltchar.py", "any(dec.coefficient(m) <= 0 for", "any(dec.coefficient(m) < 0 for",
                           "test_tiltchar.py"),
-    # The csv and pretty layouts, each caught by the per-layout sha256 of test_cli.py.
-    "csv-columns-swapped": ("cli.py", '"clause", "claimed", "char_consistent"),',
-                            '"clause", "char_consistent", "claimed"),', "test_cli.py"),
-    "csv-python-bools": ("cli.py", "writerows([_text(record[c]) for c", "writerows([record[c] for c", "test_cli.py"),
-    "row-rule-repeats-lambda2": ("cli.py", 'if key not in ("lambda1", "lambda2"))', 'if key != "lambda1")',
-                                 "test_cli.py"),
+    # The one csv and pretty rule, each slip caught by the per-layout sha256 and the payload round trip of
+    # test_cli.py.  A weight record must carry its payload's scalar fields, the verdict among them.
+    "csv-record-drops-head": ("cli.py", '[{**head, "weight": m, "multiplicity": c}',
+                              '[{"weight": m, "multiplicity": c}', "test_cli.py"),
+    # Bools and None print as json spells them, not as Python's True, False and None.
+    "python-reprs": ("cli.py", "value if isinstance(value, str) else json.dumps(value)",
+                     "value if isinstance(value, str) else str(value)", "test_cli.py"),
+    # A payload with an empty list, such as a Stohr degree with no summands, still prints its own fields.
+    "empty-list-drops-head": ("cli.py", "return records or [head]", "return records", "test_cli.py"),
+    # The items of a nested list print indented below their key, not as blocks of their own.
+    "pretty-list-items-unindented": ("cli.py", '_pretty(item, indent + "    ")', "_pretty(item, indent)",
+                                     "test_cli.py"),
     # A public method that nothing in the contract calls is dead code.
     "unused-public-method": ("charring.py", "    __hash__ = None  # characters are compared, not hashed\n",
                              "    __hash__ = None  # characters are compared, not hashed\n\n"

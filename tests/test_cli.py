@@ -53,25 +53,28 @@ def test_golden_lie_json(capsys):
 
 def test_golden_tensor_csv(capsys):
     assert main(["decompose-tensor", "--r", "3", "--p", "2", "--format", "csv"]) == 0
-    assert capsys.readouterr().out == "weight,multiplicity\n3,1\n1,2\n"
+    assert capsys.readouterr().out == (
+        "r,p,kind,basis,weight,multiplicity\n3,2,tensor-power,tilting,3,1\n3,2,tensor-power,tilting,1,2\n"
+    )
 
 
 def test_pretty_tensor(capsys):
     assert main(["decompose-tensor", "--r", "3", "--p", "2", "--format", "pretty"]) == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[0] == "r=3 p=2 tensor-power (tilting basis)"
+    assert out.splitlines() == ["r=3 p=2 kind=tensor-power basis=tilting", "  entries: 3=1 1=2"]
     assert out.endswith("\n")
 
 
 # sha256 of the stdout of larger runs, recorded before the character product
-# was rewritten orbit by orbit.
+# was rewritten orbit by orbit; the csv and pretty runs were re-recorded when
+# both came to be rendered from the payload by one rule.
 GOLDEN_SHA256 = {
     "decompose-tensor --r 1150 --p 5": "efeee86daac8a93d164dd3ff6deef400600db4da0c4395e9a984fef6e14e1152",
     "report-all --r-min 7 --r-max 120 --p 3": "d49bcb07e1822bae3e6ceb6864b3a9fcce04812c3cc1d28f4365db973f176288",
     "stohr --r 300": "13b8dc800174c2d7a69162e9c137379c3acfe6a600fe3d0f9561bcb2352dca0a",
-    "theorem-a --r-min 7 --r-max 60 --format pretty": "f38951aaef2ab2e75dde875b080b1c24ef47eef9e08eb4be334dd63c7326b2bf",
+    "theorem-a --r-min 7 --r-max 60 --format pretty": "76a469120b49d8867e21f31098fe6f38e3ff1ff1092bae313af4e6b8a6186b0b",
     "theorem-b --p 2 --r-min 2 --r-max 4096": "54e0096320174e0d01f92d995dd6b341523c79a3122ee0df5ca2351c6029cfd6",
-    "theorem-b --p 3 --r-min 2 --r-max 4000 --format csv": "0d099c2e9024c75ecd6f25cbd48e0c246ef289c6c30a90cd2ef5b0ab152ecf39",
+    "theorem-b --p 3 --r-min 2 --r-max 4000 --format csv": "4574d8201754ce88aaee0edbe88b2cc1ff5b83c7f980770deb4b14dd55739c74",
 }
 
 
@@ -82,67 +85,69 @@ def test_golden_sha256_large(argv, capsys):
 
 
 # sha256 of the stdout of every subcommand in every format its parser offers
-# (report-all renders json and pretty only), recorded before csv and pretty
-# output were rendered from one column table and one partition-row rule.  The
+# (report-all renders json and pretty only).  The json lines were recorded
+# before csv and pretty output were rendered from one column table and one
+# partition-row rule; the csv and pretty lines were re-recorded when both came
+# to be rendered from the payload by one rule.  The
 # runs cover one degree and a range, a Stohr degree with no summands, a
 # theorem-b degree that p does not divide (gzeta_dim is null), theorem-c
 # clauses i to iv (r = 25, 9, 10, 18) and report-all at p = 2 and p = 3.
 LAYOUT_SHA256 = dict(line.rsplit(" ", 1) for line in """
 decompose-tensor --r 3 --p 2 --format json 3fb1a0005cba04cadd3fce70f7c1c0e5687874ba0f507f878dc5b32ecf62c60e
-decompose-tensor --r 3 --p 2 --format csv a611ba1304e7958ed015e7647450145895123398866951057fda2baf39b7ab4b
-decompose-tensor --r 3 --p 2 --format pretty f42ddcfe1110780041682f02e29d3c3c6ca804e70f5d860a6143a10b3e777d8f
+decompose-tensor --r 3 --p 2 --format csv 79a29d2ba3d3c3c89b9200b87f3ee153ff7d093398702855d8dbb7a3db30c30e
+decompose-tensor --r 3 --p 2 --format pretty af11fbd063b84fccf2eedee1ba72500c3096ebdc1884fa3fcacafde444b72cbe
 decompose-lie --r 4 --p 5 --format json 408c34fa05708817996cecc60b02f1166b8deb7b026238e39e8c327b87bee019
-decompose-lie --r 4 --p 5 --format csv 25d959c8c711af39eb9dda05d0f70aca735f401bfb559c837647c811d58429a2
-decompose-lie --r 4 --p 5 --format pretty e5fe027497b2cbbe165a5be8f64b84eb03564d0b289026436c64bff8e6ee4ece
+decompose-lie --r 4 --p 5 --format csv eee1b0f61aff7c90709649fc7b0498b58610c79ded705d407eab05d448304b94
+decompose-lie --r 4 --p 5 --format pretty 4d9c7dc7a3769dc9cf0f3ff12c97d2fb11f0e8154e820d04283b0f83b4b1459a
 decompose-lie --r 8 --p 2 --format json 78f30f1aff28a8ad6261123663fdda31ff56af7217e0df2ace716ac6e7a45ad9
-decompose-lie --r 8 --p 2 --format csv 480b5adeb1c626eb3c06ae34385456951726aaef2c69463887f8459140e66bf6
-decompose-lie --r 8 --p 2 --format pretty e633ad0791b7cd3c4eabc709ce8d9d0dd698d567570f4288f36c6f1a76d77d33
+decompose-lie --r 8 --p 2 --format csv 4562597d61c684a05d44d1e4e6300a4a43f2ea7949cf062b0ea6a884c58396bf
+decompose-lie --r 8 --p 2 --format pretty cb64431e337e036d3e1a8d325535836c96971525678355ac3cbfc067892b9ec5
 stohr --r 9 --format json 2bebbf63aaf09c04000d13443a2fd0dea6d5cff1f4a76885758866e89cf7fdb0
-stohr --r 9 --format csv 16c5ca90fd158d0275c440a456a36e962b2d9ebbb0c0bb897da97e2028ad8472
-stohr --r 9 --format pretty e67d95c66519f0ed9cd35beddda4e6629aa8cc556084b4a4a73ffa842c8acb63
+stohr --r 9 --format csv 18204fcf7c6a9053ec991f2324362946ec9f53351d0e337d270ca2edf323b7e7
+stohr --r 9 --format pretty f0276328f5a02313fe4ff0a1da6d376112facdb539128da4dcccba874f605915
 stohr --r 4 --format json 863389871566e02ab0f90d549978d9c1f87a91591b43f250c045948db9f20754
-stohr --r 4 --format csv d5e9e70ba179b4e18c8be092c7e93a29cc8f6557fedb00476eb604772fbc2b43
-stohr --r 4 --format pretty 85945e9c8631f5c26ef898e28c5ed239cbc6282bb92c3c94f8e949a813ef0be0
+stohr --r 4 --format csv 4c44dde7a17ee100d1fba699c6e251be8970739e0d4127c8a9fec6ca15a95eb6
+stohr --r 4 --format pretty 574539c21e36105ee830670baea0f4f5e56406caae5a99f531b10890c6e87219
 gzeta --r 9 --p 3 --format json 5c08e5dbe4f224fb61bc709accffa1155873c05b0ec7a6c8341ec08cb60a0427
-gzeta --r 9 --p 3 --format csv 6a352e9091549af922516022191993687dc845fc9fc0f24527f818b4488600fc
-gzeta --r 9 --p 3 --format pretty f95287bfabb33168bc4dfe7931e5a5da75b596d341855e78072ad1e40d65b83d
+gzeta --r 9 --p 3 --format csv 4c2da9a1f2fcf2ce86639ac02807e26516234fbf6ccf24dc7f8e6d8c5326f552
+gzeta --r 9 --p 3 --format pretty 4217a1a409900c027a4c8c1bbce4d55c094a1c61abd55e86641a151d04fa80cb
 theorem-a --r 9 --format json f47eab9f35996368b02255422e92b1d1833ddb1f533d619152a2933825a84e8d
-theorem-a --r 9 --format csv 2b8537c8bd018c975bff6b71cb6a7e17d7e2d142c3f37d5c7233a7aea851a705
-theorem-a --r 9 --format pretty 3a88fab4f06e6b5df3f1893b6048b405f0d337c12dee6bacab86bfaa3e891a6c
+theorem-a --r 9 --format csv 9f0b3edecc13317484a132beb8b746a422a4ea3178b75a9613df8bc2702a4b29
+theorem-a --r 9 --format pretty 84e935dc5fdaee2a39d0ea5bc5d41c4cdd7066cad3c2766a2c8caab8609b6e8e
 theorem-a --r-min 7 --r-max 9 --format json 0b2f17aa1371a37ac7f45555f9b375ceaa2a56655a8c74a18648654a9826cd19
-theorem-a --r-min 7 --r-max 9 --format csv 68a76464ba9fd2d657e223f73aadca5bbfa1f3a933ba3e56a329bcf8183e9dd7
-theorem-a --r-min 7 --r-max 9 --format pretty b7461787b23d9fa8f7b8df8f4cd9645e17de21099471d98f2a2eecca8cbddec8
+theorem-a --r-min 7 --r-max 9 --format csv 37cfc752b546175cd3154bacdc2f9ae94085ffccb843c4c0ebfc461872af0440
+theorem-a --r-min 7 --r-max 9 --format pretty e16568b3c0fe5486a4f87195c663745b63c0917969bff8d2210071e33a7a3d42
 theorem-b --r 9 --p 3 --format json b07e340efc81157c056a569a7dd4fbc092702d816f3b4eae67d288b698ac4943
-theorem-b --r 9 --p 3 --format csv d771032895d13d6698241da9042c84e6c9212a7d45f6479bd3209c041ae91a5d
-theorem-b --r 9 --p 3 --format pretty a05999eec72692a8d2ff01daf4a8671acd9375db49f0601a46a1d7f6f5593b7c
+theorem-b --r 9 --p 3 --format csv 89e8445ac90424bb85df5a16aaf0179be0cd62545198afcfd492a0ff2731d1a3
+theorem-b --r 9 --p 3 --format pretty 86256b6ad42f251543eb9ff8429f4d0ddec19b72b01dd172af11136a58e37c17
 theorem-b --r 10 --p 3 --format json 0491117ec5d4288097e932189d7a2a380e0bb3b27cd1a821a1053cc4bd009343
-theorem-b --r 10 --p 3 --format csv 7ab4165d551f4559670594b6e24c8d3eb4aeff7a8c2e95385067da7a21c5587d
-theorem-b --r 10 --p 3 --format pretty 8450ad0bc6249ee3160d7092175eeb98a08124b68c71f0e3aa97a0ac68ff68f2
+theorem-b --r 10 --p 3 --format csv 10537b7e793d3414c15e8f193759359ad342b967f80a114cbc599a4372bdf204
+theorem-b --r 10 --p 3 --format pretty 30d4563bfa99f993f1d9330b28fc8655deb56ed96662360ad29ca4aa0d7f2c6a
 theorem-b --r-min 2 --r-max 9 --p 3 --format json b98bf31ab3400551fa79c262929093f792b05a4fffb1a90568b812880f51f44a
-theorem-b --r-min 2 --r-max 9 --p 3 --format csv f82d1db08862331070d0823024efe8b77fe30628cbddc332e4c78fbf7d9ab61d
-theorem-b --r-min 2 --r-max 9 --p 3 --format pretty 7c6e090dbee25d415f53406cb13738e01f95fba47ddb4d2fed4448e8cf080dad
+theorem-b --r-min 2 --r-max 9 --p 3 --format csv afd898fcdbb751908834d3b20610cadc18add1f2c417075633f606bcd54eb66e
+theorem-b --r-min 2 --r-max 9 --p 3 --format pretty d4a298317cf51e4cd8d29dd62ac214bfbe00f7f1fc650c6f694c58d16398e24c
 theorem-c --r 25 --p 5 --format json 70d667370c521e4ea838a25183c2387067c10ff55157d9d6b235d9aed826ff3f
-theorem-c --r 25 --p 5 --format csv 18b38028f439ccc6ffc9e9ab9e34c10f965bca0ec5b3a597a594098c58f81eb8
-theorem-c --r 25 --p 5 --format pretty 76dd6b66e6e17b6bf59885966ae1bd859aa09cea5a42752aab2a1ba8d8c2930c
+theorem-c --r 25 --p 5 --format csv 095f71db3adeef43dd23b8d70533d7e77c7f7caa8cdb331f25850b4768dfa033
+theorem-c --r 25 --p 5 --format pretty 1cf9dce2294709148ab5c1f9c11a1718e3323a4d82328b539c4007d6c5e088c0
 theorem-c --r 9 --p 3 --format json 00ff46d4cf902a890a42b366138b25d7523fdd9f9f58250dd7bdf327b49c669f
-theorem-c --r 9 --p 3 --format csv 171a9183918badfaa6c179505ddda74e65eae5d9dfae0e5d613408cf0a12ca4f
-theorem-c --r 9 --p 3 --format pretty 6b372d977bec347ef32265a8e2e18aed405eea6d4c21f20d37463dfdb96beef6
+theorem-c --r 9 --p 3 --format csv 05aa57c907e782c2dc7cb2f47d53631ccc632728c071308f071b1218a0797fcb
+theorem-c --r 9 --p 3 --format pretty 23ade5a548be0c296aede566ce62a2b3bb898b7de9f0aae412d1d5cfd43f5896
 theorem-c --r 10 --p 5 --format json 405a853e6274c472dbfd263e0309a36fe322eb78a668a4cbe54ee0188ff2c0a6
-theorem-c --r 10 --p 5 --format csv fd47bfd92de90e32136767445f9b9d8ad323f0be000aa51dc1efe8215db8184b
-theorem-c --r 10 --p 5 --format pretty ff6c04e5337df6d6450bbacae5801b0a5b4393583c5ec5db6d43be0c2f788307
+theorem-c --r 10 --p 5 --format csv 5cb5491135a2a06fc14a7e5e81d55407f774c08a4b9a2b0b3c89b401b80e5f6f
+theorem-c --r 10 --p 5 --format pretty 36ab2dc73f5ac0a7f7da7c1c8539dbb420dfed86fed45a059f4a24e2eeb857a4
 theorem-c --r 18 --p 3 --format json 6653850989aab0477821aff77e4977ad41e77769168aac4d2328cfd3c2daa640
-theorem-c --r 18 --p 3 --format csv 27f5aec2e30156c7816db981a19dc3f810d7712897d1b7577a1459285737192a
-theorem-c --r 18 --p 3 --format pretty c33d178fa245b63c9d73a8d3dbe8066e750681be2f73fa5f8263381d3095aa2c
+theorem-c --r 18 --p 3 --format csv 31a62ddb5704c668992bdd23e446e48d541852d34a5f6622c0ea17f30b25670d
+theorem-c --r 18 --p 3 --format pretty bd3faf257f176714bb27c96cc399565b744b92ebc0afc021fc0c0c3ef88683d7
 theorem-37 --r 9 --format json 1131c1352345264c06211a4c3b8e10989c3172d19b1062527731446701a3b6b5
-theorem-37 --r 9 --format csv bb221426691ea0b4601c7bacd637c80cd8765e04cd1c58dc2fe30bbb2ce87f8f
-theorem-37 --r 9 --format pretty ebd04e285319a991811a38f03675e41217e6976608046c576ce1eddea1480ce6
+theorem-37 --r 9 --format csv 20bf34e35be5af84a879707ab000c83a396d03c8da2f89ef907de6c4b9903cd2
+theorem-37 --r 9 --format pretty 3b3e4019c687d3e79b99160abb03d570fad3a9bd3e293f8b821d289cf3d06dcc
 theorem-37 --r-min 7 --r-max 9 --format json 619211680825fcea1341a5ba9e818b75bd75a65c54753cc7b5a7ccd5dc7ad7b1
-theorem-37 --r-min 7 --r-max 9 --format csv 87fac98a7887ae8bf3e8a084dbbcb2129830f7f324b5b70a7871acf50dea883f
-theorem-37 --r-min 7 --r-max 9 --format pretty 0fb9dcf552af7d1d694b91776f2b8310f3d4dbbd0064d5954152e5adb58b57fb
+theorem-37 --r-min 7 --r-max 9 --format csv 139d2c5e5cf998429066736db0165b39106cefac4ced6318e57acccf086b7029
+theorem-37 --r-min 7 --r-max 9 --format pretty e7058ada74ba29c340624e7c2c1fa6278a1648d709c9272f078c5ef2238d5fae
 report-all --r-min 7 --r-max 9 --format json 58aeed8be06ffb6483a296a06cca177e66baae5adb783b918612a073fffa214f
-report-all --r-min 7 --r-max 9 --format pretty 11f1bf315c3ab396505418940d80c8a52ecbaa3a68835750227568cc11dbde04
+report-all --r-min 7 --r-max 9 --format pretty 4e9d154c5705e03e2e7a2d42b255ed2a01d90f42c6086a1b13fb3e7141b1587c
 report-all --r-min 7 --r-max 9 --p 3 --format json d88cd10221334112078e8a1e47bcda5c5ab2d4baa448f76db8855215f5b2f052
-report-all --r-min 7 --r-max 9 --p 3 --format pretty 015671c49c5603ed8162d71c8447d48012d9724a59f69b16174bcae8bac6aea6
+report-all --r-min 7 --r-max 9 --p 3 --format pretty 434e43bbca063b757e4e9b03c21a916a0924f5115d34dc3b4dd79a0d616063b8
 """.splitlines() if line)
 
 
@@ -152,6 +157,48 @@ def test_every_layout_byte_for_byte(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == LAYOUT_SHA256[argv]
+
+
+def _spelled(value) -> str:
+    """A json scalar as a csv cell or a pretty field spells it: a string as itself, the rest as json."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _scalars(fields: dict) -> dict:
+    return {key: _spelled(value) for key, value in fields.items()
+            if not isinstance(value, (dict, list)) and key != "provenance"}
+
+
+def _expected_records(payload: dict) -> list[dict]:
+    """The csv records of one payload: its scalar fields, then its own weight, row or summand weight."""
+    if "entries" in payload:
+        tails = [{"weight": m, "multiplicity": str(c)} for m, c in payload["entries"].items()]
+    elif "rows" in payload:
+        tails = [_scalars(row) for row in payload["rows"]]
+    elif "summands" in payload:
+        tails = [{**_scalars(x), "weight": m, "multiplicity": str(c)}
+                 for x in payload["summands"] for m, c in x["entries"].items()]
+    else:
+        tails = [{}]
+    return [{**_scalars(payload), **tail} for tail in tails] or [_scalars(payload)]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in LAYOUT_SHA256 if not argv.endswith(" json")])
+def test_csv_and_pretty_keep_every_payload_field(argv, capsys):
+    # csv and pretty are renderings of the json payload, so neither may drop a field of it.
+    command, fmt = argv.rsplit(" --format ", 1)
+    payloads = _run_json(capsys, *command.split())
+    payloads = payloads if isinstance(payloads, list) else [payloads]
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        assert list(csv.DictReader(io.StringIO(out))) == [rec for x in payloads for rec in _expected_records(x)]
+        return
+    # A pretty block starts at each unindented line, which names every scalar field of its payload.
+    heads = [line.split() for line in out.splitlines() if not line.startswith(" ")]
+    assert len(heads) == len(payloads)
+    for head, payload in zip(heads, payloads):
+        assert [f"{key}={value}" for key, value in _scalars(payload).items()] == head
 
 
 # -- per-command payloads ----------------------------------------------
@@ -177,24 +224,29 @@ def test_stohr_empty_degree(capsys):
     assert main(["stohr", "--r", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["summands"] == []
     assert main(["stohr", "--r", "4", "--format", "pretty"]) == 0
-    assert "(none)" in capsys.readouterr().out
+    assert capsys.readouterr().out == "r=4 p=2 kind=stohr\n  summands:\n"
+    assert main(["stohr", "--r", "4", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "r,p,kind\n4,2,stohr\n"  # the degree is still named
 
 
 def test_stohr_csv(capsys):
     assert main(["stohr", "--r", "8", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "s,t,mult,weight,multiplicity"
-    assert all(line.startswith("1,2,") for line in lines[1:])
+    assert lines[0] == "r,p,kind,s,t,mult,weight,multiplicity"
+    assert all(line.startswith("8,2,stohr,1,2,") for line in lines[1:])
 
 
 def test_theorem_37_csv_names_each_degree(capsys):
-    # r = 7 and r = 9 both have odd weights, so a row without its degree is ambiguous.
+    # r = 7 and r = 9 both have odd weights, so a row without its degree is ambiguous; each row
+    # also carries its degree's verdict, the command's whole result.
     assert main(["theorem-37", "--r-min", "7", "--r-max", "9", "--format", "csv"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     payloads = _run_json(capsys, "theorem-37", "--r-min", "7", "--r-max", "9")
-    assert rows == [["r", "weight", "multiplicity"]] + [
-        [str(x["r"]), m, str(c)] for x in payloads for m, c in x["entries"].items()
+    assert rows == [["r", "p", "kind", "basis", "verdict", "weight", "multiplicity"]] + [
+        [str(x["r"]), "2", "theorem-37", "tilting", x["verdict"], m, str(c)]
+        for x in payloads for m, c in x["entries"].items()
     ]
+    assert [row[4] for row in rows[1:] if row[0] == "8"] == ["not-tilting-certified"] * 4
 
 
 def test_theorem_a_payload(capsys):
