@@ -95,7 +95,10 @@ def convolve(a: Sequence[int], b: Sequence[int], terms: int | None = None) -> li
     cut at the last wanted term, in one slice assignment, so the outer list
     is the one with fewer nonzero entries, and on a tie the shorter one.  A
     dense row times a row with dilated weights, mostly zeros, then costs one
-    pass over the dense row per nonzero weight of the other.
+    pass over the dense row per nonzero weight of the other.  An outer entry
+    of 1, as every entry of a Weyl character and of its Frobenius twists is,
+    adds the inner list unmultiplied, and the first nonzero one, with nothing
+    to add to yet, copies it; any other entry x adds x times it.
     """
     if not a or not b:
         raise ValueError("need two nonempty coefficient lists")
@@ -110,11 +113,16 @@ def convolve(a: Sequence[int], b: Sequence[int], terms: int | None = None) -> li
     if k and next(islice(filter(None, b), k - 1, None), None) is None:
         a, b = b, a
     out = [0] * n
+    fresh = True  # out holds only zeros so far
     for i, x in enumerate(a[:n]):
         if x:
             tail = b[: n - i]
             end = i + len(tail)
-            out[i:end] = [c + x * y for c, y in zip(out[i:end], tail)]
+            if x == 1:
+                out[i:end] = tail if fresh else map(operator.add, out[i:end], tail)
+            else:
+                out[i:end] = [c + x * y for c, y in zip(out[i:end], tail)]
+            fresh = False
     return out
 
 

@@ -31,6 +31,8 @@ MUTANTS = {
     # Same product, wrong cost: with the shorter list always outside, a dense row times a twisted Weyl
     # factor pays one pass over the factor's zeros per entry of the row.
     "convolve-outer-by-length": ("modarith.py", "if k and next(", "if False and next(", "test_modarith.py"),
+    # Same product, same result, more work: an outer entry of 1 must add the inner list, not multiply it by 1.
+    "convolve-unit-multiplies": ("modarith.py", "if x == 1:", "if False:", "test_modarith.py"),
     # Witt's necklace sum needs the Moebius signs, not only the squarefree divisors.
     "mobius-sign": ("modarith.py", "(d * q, -mu)", "(d * q, mu)", "test_liechar.py"),
     # Donkin: each factor n of T(b) gives p*n + p - 1 + a and p*n + p - 1 - a.

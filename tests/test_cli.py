@@ -508,6 +508,10 @@ def test_witt_remainder_exits_one_without_asserts():
     assert proc.stderr.startswith("verification failure: ") and proc.stderr.count("\n") == 1
 
 
+CLOSED = "closed"  # the child starts with file descriptor 1 closed, as after `>&-`
+
+
+# stdout is where the child's stdout goes, or an exception that the Lie decomposition raises in process.
 @pytest.mark.parametrize(("argv", "stdout", "code"), [
     pytest.param(["decompose-tensor", "--p", "2"], os.devnull, 2, id="usage"),
     pytest.param(["gzeta", "--r", "7", "--p", "2"], os.devnull, 2, id="domain"),
@@ -517,23 +521,31 @@ def test_witt_remainder_exits_one_without_asserts():
     pytest.param(["decompose-tensor", "--r", "3", "--p", "2"], "/dev/full", 2, id="stdout-full"),
     pytest.param(["--help"], "/dev/full", 2, id="help-stdout-full"),
     pytest.param(["theorem-b", "--help"], "/dev/full", 2, id="subcommand-help-stdout-full"),
-    pytest.param(["theorem-37", "--r", "7"], None, 1, id="consistency-in-process"),
+    pytest.param(["decompose-tensor", "--r", "3", "--p", "2"], CLOSED, 2, id="stdout-closed"),
+    pytest.param(["--help"], CLOSED, 2, id="help-stdout-closed"),
+    pytest.param(["theorem-37", "--r", "7"], ConsistencyError("forced"), 1, id="consistency-in-process"),
+    pytest.param(["decompose-lie", "--r", "7", "--p", "3"], KeyboardInterrupt(), 2, id="interrupt-in-process"),
+    pytest.param(["report-all", "--r-min", "1", "--r-max", "9"], MemoryError(), 2, id="memory-error-in-process"),
 ])
 def test_exit_code_table(argv, stdout, code, tmp_path, capsys, monkeypatch):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    if stdout is None:  # in process, with a forced verification failure
+    if isinstance(stdout, BaseException):
         def boom(r, p):
-            raise ConsistencyError("forced")
+            raise stdout
 
         monkeypatch.setattr("lietilt.cli.lie_tilting_decomp", boom)
         assert main(argv) == code
-        err = capsys.readouterr().err
-        assert "verification failure" in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("verification failure: " if code == 1 else "error: ")
     else:
         src = str(Path(lietilt.__file__).parents[1])
-        with open(stdout, "w") as sink:
+        close_stdout = (lambda: os.close(1)) if stdout == CLOSED else None
+        with open(os.devnull if stdout == CLOSED else stdout, "w") as sink:
             proc = subprocess.run([sys.executable, "-m", "lietilt", *argv], stdout=sink, stderr=subprocess.PIPE,
-                                  text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+                                  text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+                                  preexec_fn=close_stdout)
         assert proc.returncode == code
         err = proc.stderr
     assert "Traceback" not in err

@@ -252,19 +252,24 @@ def test_convolve_validates():
 
 
 class _Counted(int):
-    """An int that tallies the products it takes part in."""
+    """An int that tallies the products and the sums it takes part in; each result is counted too."""
 
-    products = 0
+    products = additions = 0
 
     def __mul__(self, other):
         _Counted.products += 1
-        return int(self) * int(other)
+        return _Counted(int(self) * int(other))
 
-    __rmul__ = __mul__
+    def __add__(self, other):
+        _Counted.additions += 1
+        return _Counted(int(self) + int(other))
+
+    __rmul__, __radd__ = __mul__, __add__
 
 
 def _counted_convolve(a, b, terms=None):
-    return convolve([_Counted(x) for x in a], [_Counted(y) for y in b], terms)
+    out = convolve([_Counted(x) for x in a], [_Counted(y) for y in b], terms)
+    return [int(c) for c in out]  # plain ints, so the caller's own sums go uncounted
 
 
 def _nonzeros(xs):
@@ -279,22 +284,38 @@ sparse_coeffs = st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=1, 
 @example([1] * 64, [1] + [0] * 127 + [1], 64)  # a dense row times a Weyl factor twisted by 64
 @example([1] + [0] * 127 + [1], [1] * 64, 64)
 def test_convolve_puts_the_sparser_list_outside(a, b, terms):
-    # Each nonzero outer entry costs at most one product per inner entry.
-    _Counted.products = 0
+    # Each nonzero outer entry costs at most one sum and one product per inner entry.
+    _Counted.products = _Counted.additions = 0
     assert _counted_convolve(a, b, terms) == polynomial_product(a, b)[:terms]
-    assert _Counted.products <= min(_nonzeros(a), _nonzeros(b)) * max(len(a), len(b))
+    bound = min(_nonzeros(a), _nonzeros(b)) * max(len(a), len(b))
+    assert _Counted.products <= bound and _Counted.additions <= bound
+
+
+@pytest.mark.parametrize(("outer", "products", "additions"), [
+    ([1, 1], 0, 199), ([1, -1], 199, 199), ([3, 1], 199, 2 * 199), ([2, 2], 2 * 199, 2 * 199),
+])
+def test_convolve_multiplies_by_an_outer_entry_other_than_one(outer, products, additions):
+    # Only a count sees the unit fast path: the coefficients are the same either way.  A unit row
+    # is added unmultiplied, or copied when it is the first; any other row costs a product and a
+    # sum per inner entry.
+    inner = list(range(1, 200))
+    _Counted.products = _Counted.additions = 0
+    assert _counted_convolve(outer, inner) == polynomial_product(outer, inner)
+    assert (_Counted.products, _Counted.additions) == (products, additions)
 
 
 def test_char_simple_of_a_long_digit_row_takes_one_pass_per_twisted_factor(monkeypatch):
     # char_simple(2**12 - 1, 2) multiplies the product so far by twelve factors (1 + y**(2**i)): each
-    # costs one pass over the product, about 4,096 products in all.  With the dense product outside
-    # it was about 2.8 million.
+    # copies the product once, and its shifted copy falls past the zero weight, so almost nothing is
+    # added.  With the dense product outside it took about 2.8 million sums.  Every outer entry is 1,
+    # so nothing is multiplied.
     import lietilt.charring
 
     monkeypatch.setattr(lietilt.charring, "convolve", _counted_convolve)
-    _Counted.products = 0
+    _Counted.products = _Counted.additions = 0
     assert char_simple(2**12 - 1, 2).dim == 2**12
-    assert _Counted.products <= 2 * 2**12
+    assert _Counted.additions <= 2 * 2**12
+    assert _Counted.products == 0
 
 
 def test_witt_weight_count_known_values():
