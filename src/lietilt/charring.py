@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, NamedTuple
 
-from .modarith import ConsistencyError, at_least, convolve, prime_char
+from .modarith import TOP_MAX, ConsistencyError, at_least, convolve, prime_char
 
 __all__ = [
     "ConsistencyError",
@@ -32,12 +32,6 @@ __all__ = [
     "two_row_partitions",
     "weight_set",
 ]
-
-# Largest top weight scale_weights accepts.  It allocates a row of
-# top // 2 + 1 entries from a small input, so the bound is checked before the
-# row exists; the CLI never builds a top above 4096.
-_TOP_MAX = 2**20
-
 
 class SymCharacter:
     """An integer weight-multiplicity function, symmetric under negation,
@@ -122,8 +116,8 @@ class SymCharacter:
         if not self._row:
             return self
         top = k * self._top
-        if top > _TOP_MAX:
-            raise ValueError(f"top weight must not exceed {_TOP_MAX}, got {top}")
+        if top > TOP_MAX:  # checked before the row exists
+            raise ValueError(f"top weight must not exceed {TOP_MAX}, got {top}")
         out = [0] * (top // 2 + 1)
         out[::k] = self._row
         return _trimmed(top, tuple(out))

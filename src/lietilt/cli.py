@@ -292,10 +292,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _main(argv)
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
+        return _failed("error: interrupted")
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-    return 2
+        return _failed("error: out of memory")
 
 
 def _main(argv: list[str] | None) -> int:
@@ -307,11 +306,9 @@ def _main(argv: list[str] | None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     except ConsistencyError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
+        return _failed(f"verification failure: {exc}", 1)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _failed(f"error: {exc}")
 
     try:
         if args.out is None:
@@ -339,8 +336,17 @@ def _write_failed(exc: OSError, to_stdout: bool) -> int:
         # The interpreter flushes stdout again at exit; aim that flush at the null device.
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
-    print(f"error: {exc}", file=sys.stderr)
-    return 2
+    return _failed(f"error: {exc}")
+
+
+def _failed(line: str, code: int = 2) -> int:
+    """Print one error line to stderr and return the exit code; a closed or unwritable stderr loses the line."""
+    if sys.stderr is not None:  # print would fall back to stdout
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
+    return code
 
 
 if __name__ == "__main__":

@@ -1,12 +1,12 @@
 """Exact modular and combinatorial arithmetic.
 
-Prime validation, the bound check on every degree, weight and count argument,
-the one product of integer coefficient lists, the coefficient rows of
-products of powers of integer polynomials, the squarefree divisors of n with
-their Moebius values, the Witt counting formulas for graded components of a
-free Lie algebra on two letters, and ConsistencyError, the package's error
-for a failed structural check.  Everything is exact integer arithmetic;
-nothing here depends on the rest of the package.
+Prime validation up to TOP_MAX by trial division, the bound check on every
+degree, weight and count argument, the one product of integer coefficient
+lists, the coefficient rows of products of powers of integer polynomials, the
+squarefree divisors of n with their Moebius values, the Witt counting
+formulas for graded components of a free Lie algebra on two letters, and
+ConsistencyError, the package's error for a failed structural check.
+Everything is exact integer arithmetic, independent of the rest of the package.
 """
 
 from __future__ import annotations
@@ -30,47 +30,27 @@ class ConsistencyError(RuntimeError):
     """A computed result contradicts a structural guarantee of the theory."""
 
 
-# Miller-Rabin with the first 13 primes as bases is exact below the smallest
-# strong pseudoprime to all of them (Sorenson and Webster, 2015); the first
-# 12 alone are fooled by 318665857834031151167461.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    if n >= _MR_LIMIT:
-        raise ValueError(f"characteristic must be below {_MR_LIMIT}, got {n}")
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+# The largest characteristic prime_char accepts and the largest top weight
+# SymCharacter.scale_weights builds; the CLI never builds a weight above 4096.
+TOP_MAX = 2**20
 
 
 def prime_char(p: int) -> int:
     """The field characteristic p as a plain int, checked to be a prime.
 
     A non-integral p (3.7, 2.0, "3") raises TypeError rather than being
-    rounded; a composite or too-large one raises ValueError.
+    rounded; a composite one, or one above TOP_MAX, raises ValueError.
     """
     p = operator.index(p)
-    if not _is_prime(p):
-        raise ValueError(f"characteristic must be a prime >= 2, got {p}")
-    return p
+    if p > TOP_MAX:
+        raise ValueError(f"characteristic must be at most {TOP_MAX}, got {p}")
+    if p == 2 or (p > 2 and p % 2):
+        for q in range(3, math.isqrt(p) + 1, 2):
+            if p % q == 0:
+                break
+        else:
+            return p
+    raise ValueError(f"characteristic must be a prime >= 2, got {p}")
 
 
 def at_least(n: int, least: int, what: str) -> int:

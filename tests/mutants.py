@@ -33,6 +33,9 @@ MUTANTS = {
     "convolve-outer-by-length": ("modarith.py", "if k and next(", "if False and next(", "test_modarith.py"),
     # Same product, same result, more work: an outer entry of 1 must add the inner list, not multiply it by 1.
     "convolve-unit-multiplies": ("modarith.py", "if x == 1:", "if False:", "test_modarith.py"),
+    # Trial division must reach isqrt(p) itself, or the square of a prime passes as a prime.
+    "trial-division-short": ("modarith.py", "range(3, math.isqrt(p) + 1, 2)", "range(3, math.isqrt(p), 2)",
+                             "test_modarith.py"),
     # Witt's necklace sum needs the Moebius signs, not only the squarefree divisors.
     "mobius-sign": ("modarith.py", "(d * q, -mu)", "(d * q, mu)", "test_liechar.py"),
     # Donkin: each factor n of T(b) gives p*n + p - 1 + a and p*n + p - 1 - a.
@@ -95,6 +98,10 @@ MUTANTS = {
     # theorem-37 refuses a degree below 7 itself; lie_tilting_decomp takes any degree.
     "theorem-37-degree-bound": ("cli.py", 'lie_tilting_decomp(at_least(r, 7, "degree"), 2)', "lie_tilting_decomp(r, 2)",
                                 "test_cli.py"),
+    # An error line that stderr cannot take must not cost the exit code, nor land on stdout.
+    "stderr-unguarded": ("cli.py", "    if sys.stderr is not None:  # print would fall back to stdout\n"
+                         "        try:\n            print(line, file=sys.stderr)\n        except OSError:\n"
+                         "            pass\n", "    print(line, file=sys.stderr)\n", "test_cli.py"),
     # Only a range prints as a json array; a single --r prints one object.
     "json-single-as-array": ("cli.py", "json.dumps(payloads[0] if single else payloads,", "json.dumps(payloads,",
                              "test_cli.py"),

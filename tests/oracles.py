@@ -3,7 +3,7 @@
 Everything here deliberately takes a different route from the package:
 Lyndon words are enumerated one by one instead of counted by Moebius sums,
 the Moebius function comes from a linear sieve instead of trial division,
-primes come from the sieve of Eratosthenes instead of Miller-Rabin,
+primes come from the sieve of Eratosthenes instead of trial division,
 subset sums are tried exhaustively, tilting characters and the bidegree
 summands are built from products of characters instead of read off lists of
 Weyl factors or coefficient rows, the Weyl factors of a tilting module come

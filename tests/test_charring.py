@@ -7,13 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lietilt.charring import (
-    _TOP_MAX,
-    Partition2,
-    SymCharacter,
-    two_row_partitions,
-    weight_set,
-)
+from lietilt.charring import Partition2, SymCharacter, two_row_partitions, weight_set
+from lietilt.modarith import TOP_MAX
 from lietilt.tiltchar import char_simple, char_tilting
 from oracles import DictCharacter, char_product_by_weights, constant, from_weights
 
@@ -111,12 +106,12 @@ def test_scale_weights():
 
 def test_top_weight_above_the_bound_is_refused_before_its_row_exists():
     chi = from_row(2, (1, 0))
-    assert chi.scale_weights(_TOP_MAX // 2).max_weight == _TOP_MAX
+    assert chi.scale_weights(TOP_MAX // 2).max_weight == TOP_MAX
     # The row would hold about 2**19 entries, some 4 MB.
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"top weight must not exceed {_TOP_MAX}, got {_TOP_MAX + 2}"):
-            chi.scale_weights(_TOP_MAX // 2 + 1)
+        with pytest.raises(ValueError, match=f"top weight must not exceed {TOP_MAX}, got {TOP_MAX + 2}"):
+            chi.scale_weights(TOP_MAX // 2 + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -469,7 +469,7 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     assert main(["theorem-a", "--r", "5"]) == 2  # degree too small
     assert main(["theorem-c", "--r", "15", "--p", "3"]) == 2
     assert main(["theorem-c", "--r", "6", "--p", "3"]) == 2  # near-top row is no exception at m = 1
-    assert main(["decompose-tensor", "--r", "3", "--p", str(2**89 - 1)]) == 2  # prime beyond the exact test
+    assert main(["decompose-tensor", "--r", "3", "--p", str(2**89 - 1)]) == 2  # a prime above TOP_MAX
     capsys.readouterr()
     assert main(["stohr", "--r", "3"]) == 2  # the bidegree splitting starts at degree 4
     assert capsys.readouterr().err == "error: degree must be at least 4, got 3\n"
@@ -508,26 +508,47 @@ def test_witt_remainder_exits_one_without_asserts():
     assert proc.stderr.startswith("verification failure: ") and proc.stderr.count("\n") == 1
 
 
-CLOSED = "closed"  # the child starts with file descriptor 1 closed, as after `>&-`
+PIPE = "pipe"  # read back: stdout must stay empty, stderr must hold one error line
+CLOSED = "closed"  # the child starts with the file descriptor closed, as after `>&-` or `2>&-`
+# The descriptor is open for reading only, so every write to it fails with EBADF.  This is how `2>&-`
+# reaches the interpreter when a shell-script launcher starts it: the shell reopens the freed
+# descriptor 2 on the script it reads.
+READ_ONLY = "read-only"
 
 
-# stdout is where the child's stdout goes, or an exception that the Lie decomposition raises in process.
-@pytest.mark.parametrize(("argv", "stdout", "code"), [
-    pytest.param(["decompose-tensor", "--p", "2"], os.devnull, 2, id="usage"),
-    pytest.param(["gzeta", "--r", "7", "--p", "2"], os.devnull, 2, id="domain"),
-    pytest.param(["decompose-tensor", "--r", "3", "--p", "2", "--out", "{tmp}/missing/x.json"], os.devnull, 2,
+def _child_stream(target: str):
+    """The stdout or stderr argument of subprocess.run for one target of the table."""
+    if target == PIPE:
+        return subprocess.PIPE
+    if target == READ_ONLY:
+        return open(os.devnull)
+    return open(os.devnull if target == CLOSED else target, "w")  # a CLOSED descriptor is closed after the fork
+
+
+# stdout is where the child's stdout goes, or an exception that the Lie decomposition raises in process;
+# stderr is where the child's stderr goes.
+@pytest.mark.parametrize(("argv", "stdout", "stderr", "code"), [
+    pytest.param(["decompose-tensor", "--p", "2"], PIPE, PIPE, 2, id="usage"),
+    pytest.param(["gzeta", "--r", "7", "--p", "2"], PIPE, PIPE, 2, id="domain"),
+    pytest.param(["decompose-tensor", "--r", "3", "--p", "2", "--out", "{tmp}/missing/x.json"], PIPE, PIPE, 2,
                  id="out-missing-dir"),
-    pytest.param(["decompose-tensor", "--r", "3", "--p", "2", "--out", ""], os.devnull, 2, id="out-empty"),
-    pytest.param(["decompose-tensor", "--r", "3", "--p", "2"], "/dev/full", 2, id="stdout-full"),
-    pytest.param(["--help"], "/dev/full", 2, id="help-stdout-full"),
-    pytest.param(["theorem-b", "--help"], "/dev/full", 2, id="subcommand-help-stdout-full"),
-    pytest.param(["decompose-tensor", "--r", "3", "--p", "2"], CLOSED, 2, id="stdout-closed"),
-    pytest.param(["--help"], CLOSED, 2, id="help-stdout-closed"),
-    pytest.param(["theorem-37", "--r", "7"], ConsistencyError("forced"), 1, id="consistency-in-process"),
-    pytest.param(["decompose-lie", "--r", "7", "--p", "3"], KeyboardInterrupt(), 2, id="interrupt-in-process"),
-    pytest.param(["report-all", "--r-min", "1", "--r-max", "9"], MemoryError(), 2, id="memory-error-in-process"),
+    pytest.param(["decompose-tensor", "--r", "3", "--p", "2", "--out", ""], PIPE, PIPE, 2, id="out-empty"),
+    pytest.param(["decompose-tensor", "--r", "3", "--p", "2"], "/dev/full", PIPE, 2, id="stdout-full"),
+    pytest.param(["--help"], "/dev/full", PIPE, 2, id="help-stdout-full"),
+    pytest.param(["theorem-b", "--help"], "/dev/full", PIPE, 2, id="subcommand-help-stdout-full"),
+    pytest.param(["decompose-tensor", "--r", "3", "--p", "2"], CLOSED, PIPE, 2, id="stdout-closed"),
+    pytest.param(["--help"], CLOSED, PIPE, 2, id="help-stdout-closed"),
+    # An error line that stderr cannot take is lost, never moved to stdout; the exit code still tells.
+    pytest.param(["theorem-c", "--r", "6", "--p", "3"], PIPE, CLOSED, 2, id="stderr-closed"),
+    pytest.param(["theorem-c", "--r", "6", "--p", "3"], PIPE, "/dev/full", 2, id="stderr-full"),
+    pytest.param(["decompose-tensor", "--r", "3", "--p", "2"], "/dev/full", READ_ONLY, 2,
+                 id="stdout-full-stderr-closed"),
+    pytest.param(["theorem-37", "--r", "7"], ConsistencyError("forced"), PIPE, 1, id="consistency-in-process"),
+    pytest.param(["decompose-lie", "--r", "7", "--p", "3"], KeyboardInterrupt(), PIPE, 2, id="interrupt-in-process"),
+    pytest.param(["report-all", "--r-min", "1", "--r-max", "9"], MemoryError(), PIPE, 2,
+                 id="memory-error-in-process"),
 ])
-def test_exit_code_table(argv, stdout, code, tmp_path, capsys, monkeypatch):
+def test_exit_code_table(argv, stdout, stderr, code, tmp_path, capsys, monkeypatch):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if isinstance(stdout, BaseException):
         def boom(r, p):
@@ -541,12 +562,21 @@ def test_exit_code_table(argv, stdout, code, tmp_path, capsys, monkeypatch):
         assert err.startswith("verification failure: " if code == 1 else "error: ")
     else:
         src = str(Path(lietilt.__file__).parents[1])
-        close_stdout = (lambda: os.close(1)) if stdout == CLOSED else None
-        with open(os.devnull if stdout == CLOSED else stdout, "w") as sink:
-            proc = subprocess.run([sys.executable, "-m", "lietilt", *argv], stdout=sink, stderr=subprocess.PIPE,
+        closed = [fd for fd, target in ((1, stdout), (2, stderr)) if target == CLOSED]
+        streams = [_child_stream(stdout), _child_stream(stderr)]
+        try:
+            proc = subprocess.run([sys.executable, "-m", "lietilt", *argv], stdout=streams[0], stderr=streams[1],
                                   text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
-                                  preexec_fn=close_stdout)
+                                  preexec_fn=(lambda: [os.close(fd) for fd in closed]) if closed else None)
+        finally:
+            for stream in streams:
+                if stream != subprocess.PIPE:
+                    stream.close()
         assert proc.returncode == code
+        if stdout == PIPE:
+            assert proc.stdout == ""
+        if stderr != PIPE:
+            return
         err = proc.stderr
     assert "Traceback" not in err
     # argparse puts its usage text, indented past the first line, ahead of the error line.

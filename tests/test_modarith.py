@@ -16,6 +16,7 @@ from lietilt.gzeta import (
 )
 from lietilt.liechar import char_lie_power, lie_power_char, lie_tilting_decomp, stohr_pairs, stohr_summand
 from lietilt.modarith import (
+    TOP_MAX,
     ConsistencyError,
     convolve,
     mobius_divisors,
@@ -53,33 +54,36 @@ from oracles import (
 
 
 def test_primechar_accepts_primes():
-    for p in (2, 3, 5, 7, 11, 97, 101, 10**18 + 3):
+    for p in (2, 3, 5, 7, 11, 97, 101, 1_048_573):  # the last is the largest prime up to TOP_MAX
         q = prime_char(p)
         assert q == p and type(q) is int
 
 
-# 561 is a Carmichael number, 3215031751 a strong pseudoprime to bases 2, 3, 5
-# and 7, and 318665857834031151167461 one to each of the first 12 primes.
-@pytest.mark.parametrize("bad", [-3, 0, 1, 4, 6, 9, 15, 100, 561, 3215031751, 318665857834031151167461])
+# 561 is a Carmichael number; 1042441 = 1021**2 is the largest square of a
+# prime up to TOP_MAX, so trial division must reach isqrt(p) itself; the
+# strong pseudoprimes 3215031751 and 318665857834031151167461 lie above it.
+@pytest.mark.parametrize("bad", [-3, 0, 1, 4, 6, 9, 15, 100, 561, 1042441, 3215031751, 318665857834031151167461])
 def test_primechar_rejects_nonprimes(bad):
     with pytest.raises(ValueError):
         prime_char(bad)
 
 
 def test_primechar_matches_sieve():
-    primes = set(sieve_primes(10**4))
-    for n in range(10**4):
-        try:
-            prime_char(n)
-        except ValueError:
-            assert n not in primes
-        else:
-            assert n in primes
+    for lo, hi in ((0, 10**4), (TOP_MAX - 20_000, TOP_MAX + 1)):
+        primes = set(sieve_primes(hi))
+        for n in range(lo, hi):
+            try:
+                prime_char(n)
+            except ValueError:
+                assert n not in primes
+            else:
+                assert n in primes
 
 
 def test_primechar_refuses_primes_beyond_exact_range():
-    with pytest.raises(ValueError, match="below"):
-        prime_char(2**89 - 1)  # a Mersenne prime
+    for p in (1_048_583, 2**89 - 1):  # the least prime above TOP_MAX, and a Mersenne prime
+        with pytest.raises(ValueError, match=f"characteristic must be at most {TOP_MAX}, got {p}"):
+            prime_char(p)
 
 
 def test_primechar_idempotent():

@@ -81,6 +81,7 @@ ALLOWED_UNENTERED = {
     "tiltchar.Decomposition._make": "the README promises that _replace validates, and test_records.py pins it",
     "cli._write_failed": "entered only on a failed write, which test_exit_code_table pins in a child process",
     "cli._Parser.print_help": "entered only on a failed write, which test_exit_code_table pins in a child process",
+    "cli._failed": "entered only on a failed run, which test_exit_code_table pins",
 }
 
 
@@ -105,6 +106,35 @@ def test_every_subcommand_and_renderer_runs_on_the_standard_library_alone():
 def test_every_package_function_is_entered_by_the_contract():
     # An entry that the contract now enters, or a function that no longer exists, fails as well.
     assert _traced_contract()["unentered"] == sorted(ALLOWED_UNENTERED)
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier that tree reads, as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_oracle_is_named_by_a_test():
+    # An oracle checks nothing unless another test file names it, or an oracle that is itself named does.
+    # Oracles are top-level and their names unique, so unlike the package's methods a name is enough.
+    tests = ROOT / "tests"
+    oracles = {node.name: node for node in ast.parse((tests / "oracles.py").read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    todo = set().union(*(_names(ast.parse(path.read_text())) for path in tests.glob("*.py")
+                         if path.name != "oracles.py")) & oracles.keys()
+    named = set()
+    while todo:
+        name = todo.pop()
+        named.add(name)
+        todo |= (_names(oracles[name]) & oracles.keys()) - named
+    assert sorted(oracles.keys() - named) == []
 
 
 def test_only_charring_reads_the_character_layout():
